@@ -265,7 +265,8 @@ def csc_condition_polynomial(m: int, r_plus) -> Poly:
               for i in range(bound + 1)]
     g = lagrange_interpolate(points)
     for probe in (Fraction(-3), Fraction(5, 2)):
-        assert peval(g, probe) == _csc_condition_raw(m, rp, probe)
+        if peval(g, probe) != _csc_condition_raw(m, rp, probe):
+            raise ArithmeticError("interpolated CSC obstruction fails its probe")
     return g
 
 

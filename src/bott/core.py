@@ -7,11 +7,24 @@ data and yields a new tower matrix
 
     A' = (P - A Q)^(-1) (A P - Q)
 
-whenever P - A Q is unimodular and A' is again lower triangular unipotent.
-Here P and Q are the unflipped/flipped parts of the permutation matrix.
-Fiber inversions are the pure flips, permutation conjugations the pure
-permutations; every toric equivalence arises from such a pair, so a single
-pass over all 2^n * n! pairs enumerates the full equivalence orbit.
+whenever A' is again lower triangular unipotent.  Here P and Q are the
+unflipped/flipped parts of the permutation matrix.  Every toric
+equivalence arises from such a pair, so the orbit of A is the set of
+applicable images.
+
+The orbit is enumerated without trying every pair.  Let F be the set of
+source stages sent to flipped positions (flips[j] = [sigma[j] in F]).
+For fixed F, column j of A' depends only on s = sigma[j]: it is the
+forward-substitution solve v_F(s) of the column A[:,s] (s not in F) or
+-e_s (s in F).  With W_F[s][t] = v_F(s)[t],
+
+    A'[j][l] = W_F[sigma[l]][sigma[j]].
+
+W_F is upper unitriangular (v_F(s) lives on the stages >= s and has a 1
+at s), so the diagonal of A' is always 1, and the pair applies exactly
+when sigma lists s before t whenever W_F[s][t] != 0: sigma is a linear
+extension of that DAG.  The orbit is thus enumerated per distinct W_F by
+listing the linear extensions of its DAG.
 
 All indices in this module are 0-based.
 """
@@ -20,10 +33,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 DEFAULT_STAGE_BOUND = 8
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 class StageTooLarge(ValueError):
@@ -40,7 +54,7 @@ class BottMatrix:
     order used for canonical orbit representatives.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
 
     def __post_init__(self):
         n = len(self.rows)
@@ -49,11 +63,11 @@ class BottMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            if any(not isinstance(e, int) for e in row):
+            if not all(type(e) is int for e in row):
                 raise ValueError("entries must be integers")
             if row[i] != 1:
                 raise ValueError("diagonal entries must equal 1")
-            if any(row[j] != 0 for j in range(i + 1, n)):
+            if any(row[i + 1:]):
                 raise ValueError("matrix must be lower triangular")
 
     @property
@@ -62,7 +76,10 @@ class BottMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BottMatrix":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        if not isinstance(rows, (list, tuple)) or \
+                not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("rows must be a list of integer lists")
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "BottMatrix":
@@ -81,7 +98,7 @@ class BottMatrix:
         """Tower with a single twisted top stage of degrees k over (CP^1)^N."""
         n = len(k) + 1
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rows[n - 1] = [*map(int, k), 1]
+        rows[n - 1] = [*k, 1]
         return cls.from_rows(rows)
 
     @classmethod
@@ -91,8 +108,8 @@ class BottMatrix:
             raise ValueError("need len(k) == len(l) + 1")
         n = len(k) + 1
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rows[n - 2] = [*map(int, l), 1, 0]
-        rows[n - 1] = [*map(int, k), 1]
+        rows[n - 2] = [*l, 1, 0]
+        rows[n - 1] = [*k, 1]
         return cls.from_rows(rows)
 
     def stage3_params(self) -> tuple[int, int, int]:
@@ -121,13 +138,17 @@ class BottMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BottMatrix":
+        if not isinstance(obj, dict):
+            raise ValueError("matrix JSON must be an object")
         if "stage3" in obj:
-            a, b, c = obj["stage3"]
-            return cls.stage3(int(a), int(b), int(c))
-        rows = obj["rows"]
-        if "n" in obj and int(obj["n"]) != len(rows):
+            params = obj["stage3"]
+            if not isinstance(params, list) or len(params) != 3:
+                raise ValueError("stage3 needs three integers")
+            return cls.stage3(*params)
+        matrix = cls.from_rows(obj["rows"])
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != matrix.n):
             raise ValueError("n does not match number of rows")
-        return cls.from_rows(rows)
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -167,149 +188,115 @@ def cotwist(A: BottMatrix) -> int:
     return sum(1 for j in range(A.n) if any(A.rows[i][j] for i in range(j + 1, A.n)))
 
 
-def _int_det(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _flip_solve(rows: Rows, flipped: Sequence[bool]) -> Rows:
+    """W_F for the flipped source stages F = {s : flipped[s]}.
 
-
-def _solve_matrix(M: list[list[int]], N: list[list[int]]) -> Optional[list[list[Fraction]]]:
-    """Solve M X = N by Gaussian elimination; None if M is singular."""
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(N[i][j]) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def apply_signed_permutation_generic(A: BottMatrix, sigma: Sequence[int],
-                                     flips: Sequence[int]) -> Optional[BottMatrix]:
-    """Reference normal-form computation of the induced tower matrix.
-
-    Builds the block parts (P, Q) explicitly, checks unimodularity of
-    P - A Q by exact determinant and inverts over the rationals.  Slower
-    than apply_signed_permutation but free of structural shortcuts; the
-    tests hold the two routes against each other.
+    Row s is v_F(s), the forward-substitution solve of column s of
+    A P - Q (A[:,s], or -e_s when s is flipped) against the reordered
+    P - A Q.  Entries before s vanish and entry s is 1.
     """
-    n = A.n
-    P, Q = signed_permutation_matrices(n, sigma, flips)
-    AQ = _matmul(A.rows, Q)
-    M = [[P[i][j] - AQ[i][j] for j in range(n)] for i in range(n)]
-    if _int_det(M) not in (1, -1):
-        return None
-    AP = _matmul(A.rows, P)
-    N = [[AP[i][j] - Q[i][j] for j in range(n)] for i in range(n)]
-    X = _solve_matrix(M, N)
-    if X is None:
-        return None
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if X[i][j].denominator != 1:
-                return None
-            row.append(int(X[i][j]))
-        rows.append(row)
-    for i in range(n):
-        if rows[i][i] != 1 or any(rows[i][j] for j in range(i + 1, n)):
-            return None
-    return BottMatrix.from_rows(rows)
+    n = len(rows)
+    W = []
+    for s in range(n):
+        y = [0] * n
+        for i in range(s, n):
+            acc = -(i == s) if flipped[s] else rows[i][s]
+            for k in range(s, i):
+                if flipped[k] and y[k]:
+                    acc += rows[i][k] * y[k]
+            y[i] = -acc if flipped[i] else acc
+        W.append(tuple(y))
+    return tuple(W)
 
 
-def signed_permutation_matrices(n: int, sigma: Sequence[int],
-                                flips: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """Split a signed permutation into its (P, Q) block parts.
+def _linear_extension_images(W: Rows) -> Iterator[Rows]:
+    """Images W[sigma[l]][sigma[j]] over the linear extensions sigma of W.
 
-    Column j carries a 1 in row sigma[j]; it lands in Q when stage j is
-    flipped (zero and infinity sections swapped) and in P otherwise.
+    Row j of an image only reads the stages placed before it, so rows
+    are built as sigma grows.
     """
-    P = [[0] * n for _ in range(n)]
-    Q = [[0] * n for _ in range(n)]
-    for j in range(n):
-        if flips[j]:
-            Q[sigma[j]][j] = 1
-        else:
-            P[sigma[j]][j] = 1
-    return P, Q
+    n = len(W)
+    before = [0] * n          # bitmask of the stages that must precede t
+    for s in range(n):
+        for t in range(s + 1, n):
+            if W[s][t]:
+                before[t] |= 1 << s
+    tails = [(1,) + (0,) * (n - j - 1) for j in range(n)]
+    full = (1 << n) - 1
+    order: list[int] = []
+    rows: list[tuple[int, ...]] = []
+
+    def extend(placed: int) -> Iterator[Rows]:
+        if placed == full:
+            yield tuple(rows)
+            return
+        tail = tails[len(order)]
+        for t in range(n):
+            bit = 1 << t
+            if not placed & bit and not before[t] & ~placed:
+                rows.append(tuple(W[s][t] for s in order) + tail)
+                order.append(t)
+                yield from extend(placed | bit)
+                order.pop()
+                rows.pop()
+
+    return extend(0)
+
+
+def _orbit_images(A: BottMatrix) -> Iterator[Rows]:
+    """Rows of every orbit member of A, each at least once.
+
+    Flip sets with equal W_F give equal images, so each W_F is expanded once.
+    """
+    seen: set[Rows] = set()
+    for flipped in itertools.product((False, True), repeat=A.n):
+        W = _flip_solve(A.rows, flipped)
+        if W not in seen:
+            seen.add(W)
+            yield from _linear_extension_images(W)
 
 
 def apply_signed_permutation(A: BottMatrix, sigma: Sequence[int],
                              flips: Sequence[int]) -> Optional[BottMatrix]:
     """Tower matrix induced by (sigma, flips), or None when not applicable.
 
-    The candidate is A' = (P - A Q)^(-1) (A P - Q); the pair applies
-    exactly when A' is again lower triangular unipotent.  Reordering the
-    columns of P - A Q by sigma leaves either unit vectors or negated
-    columns of A, i.e. a lower triangular matrix with diagonal +-1, so
-    P - A Q is automatically unimodular and the inversion is an integer
-    forward substitution.
+    The candidate is A'[j][l] = W_F[sigma[l]][sigma[j]] with
+    F = {sigma[j] : flips[j]}; it applies exactly when it is lower
+    triangular (its diagonal is 1 by construction).
     """
     n = A.n
-    rows = A.rows
-    sigma_inv = [0] * n
-    for j, img in enumerate(sigma):
-        sigma_inv[img] = j
-    # column k of the reordered P - A Q: -A[:,k] when the stage sent to
-    # position k is flipped, the unit vector e_k otherwise
-    flipped_at = [flips[sigma_inv[k]] for k in range(n)]
-    # column j of A P - Q in the same row order
-    N = [[rows[i][sigma[j]] if not flips[j] else -(1 if i == sigma[j] else 0)
-          for j in range(n)] for i in range(n)]
-    Y = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for c in range(n):
-            acc = N[i][c]
-            for k in range(i):
-                if flipped_at[k] and rows[i][k]:
-                    acc += rows[i][k] * Y[k][c]
-            Y[i][c] = -acc if flipped_at[i] else acc
-    out = [Y[sigma[j]] for j in range(n)]
-    for i in range(n):
-        if out[i][i] != 1 or any(out[i][j] for j in range(i + 1, n)):
-            return None
-    return BottMatrix.from_rows(out)
+    flipped = [False] * n
+    for j in range(n):
+        flipped[sigma[j]] = bool(flips[j])
+    W = _flip_solve(A.rows, flipped)
+    if any(W[sigma[l]][sigma[j]] for j in range(n) for l in range(j + 1, n)):
+        return None
+    return BottMatrix(tuple(tuple(W[sl][sj] for sl in sigma) for sj in sigma))
+
+
+def _fiber_inversion_rows(rows: Rows, k: int) -> Rows:
+    """Closed form of the pure flip of stage k: row k negated, later rows
+    reduced by their column-k entry times row k."""
+    pivot = rows[k]
+    out = list(rows)
+    out[k] = tuple(-e for e in pivot[:k]) + pivot[k:]
+    for i in range(k + 1, len(rows)):
+        row = rows[i]
+        if row[k]:
+            out[i] = tuple(e - row[k] * p for e, p in zip(row[:k], pivot)) + row[k:]
+    return tuple(out)
+
+
+def _permuted(rows: Rows, sigma: Sequence[int]) -> Rows:
+    """Rows of P^(-1) A P: entry (j, l) is A[sigma[j]][sigma[l]]."""
+    return tuple(tuple(map(rows[a].__getitem__, sigma)) for a in sigma)
 
 
 def fiber_inversion(A: BottMatrix, k: int) -> BottMatrix:
     """Invert the CP^1 fiber of stage k (always applicable)."""
     if not 0 <= k < A.n:
         raise ValueError("stage index out of range")
-    flips = tuple(1 if j == k else 0 for j in range(A.n))
-    result = apply_signed_permutation(A, tuple(range(A.n)), flips)
-    assert result is not None  # pure flips are always applicable
-    return result
+    return BottMatrix(_fiber_inversion_rows(A.rows, k))
 
 
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -318,94 +305,85 @@ def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(sigma)
 
 
+def _support(rows: Rows) -> int:
+    """Bitmask of the nonzero entries A[p][q], q < p, at bit p * n + q."""
+    n = len(rows)
+    return sum(1 << (p * n + q) for p in range(n) for q in range(p) if rows[p][q])
+
+
+def _inversions(sigma: Sequence[int]) -> int:
+    """Bitmask of the pairs q < p that sigma lists p first, at bit p * n + q."""
+    n = len(sigma)
+    return sum(1 << (sigma[j] * n + sigma[l])
+               for j in range(n) for l in range(j + 1, n) if sigma[j] > sigma[l])
+
+
 def permutation_conjugate(A: BottMatrix, sigma: Sequence[int]) -> Optional[BottMatrix]:
-    """P^(-1) A P when lower triangular, else None."""
+    """P^(-1) A P when lower triangular, else None.
+
+    Entry (j, l) of P^(-1) A P is A[sigma[j]][sigma[l]], so the result is
+    lower triangular iff A vanishes at every pair that sigma inverts.
+    """
     if sorted(sigma) != list(range(A.n)):
         raise ValueError("not a permutation of range(n)")
-    return apply_signed_permutation(A, tuple(sigma), (0,) * A.n)
+    if _support(A.rows) & _inversions(sigma):
+        return None
+    return BottMatrix(_permuted(A.rows, sigma))
 
 
-def signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    for sigma in itertools.permutations(range(n)):
-        for flips in itertools.product((0, 1), repeat=n):
-            yield sigma, flips
+def _check_stage_bound(n: int, stage_bound: int) -> None:
+    if n > stage_bound:
+        raise StageTooLarge(f"stage {n} exceeds bound {stage_bound}")
 
 
 def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> OrbitReport:
     """All tower matrices biholomorphic to A, with generator edges.
 
-    Enumerates the whole signed-permutation group in one pass, which is
-    closed because every toric equivalence is induced by a single
-    (sigma, flips) pair.
+    Members are the images over each distinct W_F and each linear
+    extension of its DAG (see the module docstring), which is exactly
+    the set of applicable signed-permutation images.  Edges are the
+    fiber inversions and applicable transpositions of each member.
     """
     n = A.n
-    if n > stage_bound:
-        raise StageTooLarge(f"stage {n} exceeds bound {stage_bound}")
-    members: set[BottMatrix] = set()
-    for sigma, flips in signed_permutations(n):
-        B = apply_signed_permutation(A, sigma, flips)
-        if B is not None:
-            members.add(B)
-    reps = tuple(sorted(members))
-    index = {B: i for i, B in enumerate(reps)}
+    _check_stage_bound(n, stage_bound)
+    reps = tuple(sorted(BottMatrix(rows) for rows in set(_orbit_images(A))))
+    index = {B.rows: i for i, B in enumerate(reps)}
+    inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
+    swaps = [(_inversions(sigma), EquivalenceMove("permutation_conjugation", permutation=sigma))
+             for sigma in (transposition(n, a, b) for a in range(n) for b in range(a + 1, n))]
     edges = []
-    seen = set()
     for i, B in enumerate(reps):
-        for k in range(n):
-            target = index[fiber_inversion(B, k)]
-            key = (i, target, "f", k)
-            if key not in seen:
-                seen.add(key)
-                edges.append(OrbitEdge(i, target, EquivalenceMove("fiber_inversion", index=k)))
-        for a in range(n):
-            for b in range(a + 1, n):
-                sigma = transposition(n, a, b)
-                C = permutation_conjugate(B, sigma)
-                if C is not None:
-                    key = (i, index[C], "p", sigma)
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append(OrbitEdge(i, index[C],
-                                               EquivalenceMove("permutation_conjugation",
-                                                               permutation=sigma)))
+        for k, move in enumerate(inversions):
+            edges.append(OrbitEdge(i, index[_fiber_inversion_rows(B.rows, k)], move))
+        support = _support(B.rows)
+        for inverted, move in swaps:
+            if not support & inverted:
+                edges.append(OrbitEdge(i, index[_permuted(B.rows, move.permutation)], move))
     return OrbitReport(reps, reps[0], tuple(edges))
 
 
 def canonical_form(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> BottMatrix:
     """Lexicographically minimal matrix in the equivalence orbit."""
-    return equivalence_orbit(A, stage_bound).canonical
+    _check_stage_bound(A.n, stage_bound)
+    return BottMatrix(min(_orbit_images(A)))
 
 
 def are_equivalent(A: BottMatrix, B: BottMatrix,
                    stage_bound: int = DEFAULT_STAGE_BOUND) -> bool:
     if A.n != B.n:
         return False
-    if A.n > stage_bound:
-        raise StageTooLarge(f"stage {A.n} exceeds bound {stage_bound}")
-    return any(apply_signed_permutation(A, sigma, flips) == B
-               for sigma, flips in signed_permutations(A.n))
-
-
-def _row_trivial(A: BottMatrix, i: int) -> bool:
-    return all(A.rows[i][j] == 0 for j in range(i))
+    _check_stage_bound(A.n, stage_bound)
+    return any(rows == B.rows for rows in _orbit_images(A))
 
 
 def normalize_twist(A: BottMatrix) -> BottMatrix:
     """Equivalent tower whose trivial stages come first.
 
-    Bubbles every zero row of A - I to the top with adjacent
-    transpositions; each such swap is applicable because the moving row
-    is zero.  The result has its first n - twist(A) rows trivial.
+    Conjugates by the stable partition that lists the stages with a zero
+    row of A - I first.  Each block keeps its order, and a zero row
+    moved up meets only zeros, so the result is lower triangular.  The
+    result has its first n - twist(A) rows trivial.
     """
-    cur = A
-    n = A.n
-    for target in range(n):
-        j = next((i for i in range(target, n) if _row_trivial(cur, i)), None)
-        if j is None:
-            break
-        while j > target:
-            swapped = permutation_conjugate(cur, transposition(n, j - 1, j))
-            assert swapped is not None  # zero row makes the swap applicable
-            cur = swapped
-            j -= 1
-    return cur
+    trivial = [not any(A.rows[i][:i]) for i in range(A.n)]
+    order = [i for i in range(A.n) if trivial[i]] + [i for i in range(A.n) if not trivial[i]]
+    return BottMatrix(_permuted(A.rows, order))

@@ -2,16 +2,24 @@
 
 The oracles here deliberately avoid the code paths they check: support
 functions are evaluated by scanning all maximal cones, orbits are closed
-by breadth-first search over the generator moves, and the square-fiber
-linear system is re-derived from the extremal equation itself.
+by breadth-first search over the generator moves or found by trying all
+2^n * n! signed permutations, and the square-fiber linear system is
+re-derived from the extremal equation itself.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from bott.core import BottMatrix, fiber_inversion, permutation_conjugate, transposition
+from bott.core import (
+    BottMatrix,
+    apply_signed_permutation,
+    fiber_inversion,
+    permutation_conjugate,
+    transposition,
+)
 from bott.fan import BottFan, SupportFunction
 
 
@@ -162,3 +170,133 @@ def topological_twist0_factorization_exists(A: BottMatrix, entry_bound=None) -> 
 
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return search(n - 1, identity)
+
+
+def signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    for sigma in itertools.permutations(range(n)):
+        for flips in itertools.product((0, 1), repeat=n):
+            yield sigma, flips
+
+
+def full_scan_orbit(A: BottMatrix, apply=apply_signed_permutation) -> set[BottMatrix]:
+    """Orbit of A as the applicable images of every signed permutation.
+
+    The default applier is the per-pair route of bott.core, which
+    test_core holds pair by pair against apply_signed_permutation_generic
+    up to n = 4 and on a few stage-5 towers; the generic one is about 40x
+    slower.
+    """
+    images = (apply(A, sigma, flips) for sigma, flips in signed_permutations(A.n))
+    return {B for B in images if B is not None}
+
+
+def normalize_twist_oracle(A: BottMatrix) -> BottMatrix:
+    """Bubble every zero row of A - I to the top with adjacent transpositions."""
+    cur = A
+    n = A.n
+    for target in range(n):
+        j = next((i for i in range(target, n)
+                  if not any(cur.rows[i][:i])), None)
+        if j is None:
+            break
+        while j > target:
+            cur = permutation_conjugate(cur, transposition(n, j - 1, j))
+            j -= 1
+    return cur
+
+
+def _int_det(mat: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _solve_matrix(M: list[list[int]], N: list[list[int]]) -> Optional[list[list[Fraction]]]:
+    """Solve M X = N by Gaussian elimination; None if M is singular."""
+    n = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(N[i][j]) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def signed_permutation_matrices(n: int, sigma: Sequence[int],
+                                flips: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Split a signed permutation into its (P, Q) block parts.
+
+    Column j carries a 1 in row sigma[j]; it lands in Q when stage j is
+    flipped (zero and infinity sections swapped) and in P otherwise.
+    """
+    P = [[0] * n for _ in range(n)]
+    Q = [[0] * n for _ in range(n)]
+    for j in range(n):
+        if flips[j]:
+            Q[sigma[j]][j] = 1
+        else:
+            P[sigma[j]][j] = 1
+    return P, Q
+
+
+def apply_signed_permutation_generic(A: BottMatrix, sigma: Sequence[int],
+                                     flips: Sequence[int]) -> Optional[BottMatrix]:
+    """Reference normal-form computation of the induced tower matrix.
+
+    Builds the block parts (P, Q) explicitly, checks unimodularity of
+    P - A Q by exact determinant and inverts over the rationals, with no
+    structural shortcuts.
+    """
+    n = A.n
+    P, Q = signed_permutation_matrices(n, sigma, flips)
+    AQ = _matmul(A.rows, Q)
+    M = [[P[i][j] - AQ[i][j] for j in range(n)] for i in range(n)]
+    if _int_det(M) not in (1, -1):
+        return None
+    AP = _matmul(A.rows, P)
+    N = [[AP[i][j] - Q[i][j] for j in range(n)] for i in range(n)]
+    X = _solve_matrix(M, N)
+    if X is None:
+        return None
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if X[i][j].denominator != 1:
+                return None
+            row.append(int(X[i][j]))
+        rows.append(row)
+    for i in range(n):
+        if rows[i][i] != 1 or any(rows[i][j] for j in range(i + 1, n)):
+            return None
+    return BottMatrix.from_rows(rows)

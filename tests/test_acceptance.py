@@ -15,7 +15,7 @@ from bott import fan as bfan
 from bott import symplectic as sp
 from bott.core import BottMatrix, equivalence_orbit
 from bott.polynomials import pmul, poly, pscale
-from conftest import orbit_closure_oracle, support_eval_oracle
+from conftest import full_scan_orbit, orbit_closure_oracle, support_eval_oracle
 from test_almostkahler import derive_system, _gauss_det
 
 M3 = BottMatrix.stage3
@@ -233,7 +233,8 @@ def test_criterion_10_property_suites():
         for k in range(n):
             assert (R.x(k) * R.y(k)).is_zero()
 
-    # orbit closure and inverse membership on an exhaustive small scan
+    # orbit closure, inverse membership and the full signed-permutation
+    # scan on an exhaustive small scan, and the scan on random stage-5 towers
     for a in range(-1, 2):
         for b in range(-1, 2):
             for c in range(-1, 2):
@@ -241,13 +242,22 @@ def test_criterion_10_property_suites():
                 reps = set(equivalence_orbit(A).representatives)
                 assert A.inverse() in reps
                 assert orbit_closure_oracle(A) <= reps
+                assert reps == full_scan_orbit(A)
     checked = 0
     for entries in _stage4_small_entries():
         A = BottMatrix.from_rows(entries)
         reps = set(equivalence_orbit(A).representatives)
         assert A.inverse() in reps
         assert orbit_closure_oracle(A) <= reps
+        assert reps == full_scan_orbit(A)
         checked += 1
+    for _ in range(20):
+        A = BottMatrix.from_rows(
+            [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(5)]
+             for i in range(5)])
+        reps = set(equivalence_orbit(A).representatives)
+        assert orbit_closure_oracle(A) <= reps
+        assert reps == full_scan_orbit(A)
 
     # first Pontrjagin identity on the exhaustive box
     for a in range(-4, 5):

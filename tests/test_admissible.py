@@ -180,6 +180,14 @@ class TestCscCondition:
         with pytest.raises(ValueError):
             adm.csc_condition(1, Fraction(1, 2), Fraction(1, 2))
 
+    def test_interpolation_probe_raises(self, monkeypatch):
+        # a corrupted sample must fail the probe, also under python -O
+        real = adm.lagrange_interpolate
+        monkeypatch.setattr(adm, "lagrange_interpolate",
+                            lambda pts: real([(pts[0][0], pts[0][1] + 1), *pts[1:]]))
+        with pytest.raises(ArithmeticError):
+            adm.csc_condition_polynomial(2, Fraction(4, 5))
+
     def test_m2_sign_change_off_first_family(self):
         # second family crossing below -1/2 for r_plus = 4/5
         lo = adm.csc_condition(2, Fraction(4, 5), Fraction(-7, 20))

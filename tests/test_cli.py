@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
 from bott.core import BottMatrix
@@ -196,6 +198,20 @@ class TestErrors:
         result = run(["twist", "--matrix", '{"n": 2, "rows": [[1, 5], [0, 1]]}'])
         assert result.exit_code == 1
         assert result.payload["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("blob", [
+        '{"rows": [[1, 0], [2.7, 1]]}', '{"rows": [[1, 0], [true, 1]]}',
+        '{"rows": [[1, 0], ["3", 1]]}', '{"stage3": [0, 2.5, 1]}',
+        '{"rows": 5}', '{"stage3": 5}',
+    ])
+    def test_non_integer_matrix(self, blob):
+        result = run(["orbit", "--matrix", blob])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["orbit", "--matrix", blob]) == 1
+        assert json.loads(err.getvalue())["error"] == "invalid_input"
 
     def test_singular_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha", "1", "--beta", "1"])

@@ -23,19 +23,17 @@ def main() -> None:
     parser.add_argument("--second-only", action="store_true",
                         help="drop the balanced family from the output")
     args = parser.parse_args()
+    try:
+        sweeps = [(m, adm.csc_family_sweep(m, args.step, args.tolerance, args.second_only))
+                  for m in args.m]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out = sys.stdout
     out.write("m,r_plus,r_minus\n")
-    for m in args.m:
-        rp = args.step
-        while rp < 1:
-            if args.second_only:
-                roots = adm.csc_second_family_roots(m, rp, args.tolerance)
-            else:
-                roots = adm.csc_family_solve(m, rp, args.tolerance)
-            for root in roots:
-                out.write(f"{m},{float(rp)},{float(root)}\n")
-            rp += args.step
+    for m, rows in sweeps:
+        for rp, root in rows:
+            out.write(f"{m},{float(rp)},{float(root)}\n")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import ceil, comb
+from typing import Iterator, Sequence
 
 from .polynomials import (
     ONE,
@@ -27,7 +28,7 @@ from .polynomials import (
     count_roots_open,
     definite_integral,
     degree,
-    lagrange_interpolate,
+    lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
     pdiv_exact,
     pderiv,
     peval,
@@ -69,6 +70,8 @@ class AdmissibleData:
         if not self.components:
             raise ValueError("need at least one component")
         for d, s, r in self.components:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"fiber dimension must be an integer, got {d!r}")
             if d < 1:
                 raise ValueError("fiber dimensions must be positive")
             if not 0 < abs(r) < 1:
@@ -76,7 +79,11 @@ class AdmissibleData:
 
     @classmethod
     def make(cls, components: Sequence[tuple[int, object, object]]) -> "AdmissibleData":
-        return cls(tuple((int(d), Fraction(s), Fraction(r)) for d, s, r in components))
+        try:
+            return cls(tuple((d, Fraction(s), Fraction(r)) for d, s, r in components))
+        except TypeError as exc:
+            raise ValueError("components must be (d, s, r) triples with an "
+                             "integer d and rational s, r") from exc
 
     @property
     def dim(self) -> int:
@@ -104,8 +111,12 @@ class AdmissibleData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AdmissibleData":
-        return cls.make([(c["d"], Fraction(c["s"]), Fraction(c["r"]))
-                         for c in obj["components"]])
+        comps = obj.get("components") if isinstance(obj, dict) else None
+        if not isinstance(comps, list) or not all(
+                isinstance(c, dict) and {"d", "s", "r"} <= c.keys() for c in comps):
+            raise ValueError('admissible data must be {"components": '
+                             '[{"d": .., "s": .., "r": ..}, ...]}')
+        return cls.make([(c["d"], c["s"], c["r"]) for c in comps])
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,23 @@ def ks_data(r) -> AdmissibleData:
     return AdmissibleData.make([(1, 2, r), (1, -2, r - 1)])
 
 
+def _csc_args(m: int, r_plus) -> Fraction:
+    """Check the balanced CSC parameters; r_plus comes back as a Fraction."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError("m must be a positive integer")
+    rp = Fraction(r_plus)
+    if not 0 < rp < 1:
+        raise ValueError("r_plus must lie in (0, 1)")
+    return rp
+
+
+def _tolerance(tolerance) -> Fraction:
+    tol = Fraction(tolerance)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol
+
+
 def _csc_condition_raw(m: int, rp: Fraction, rm: Fraction) -> Fraction:
     plus = poly([1, rp])
     minus = poly([1, rm])
@@ -247,26 +275,49 @@ def csc_condition(m: int, r_plus, r_minus) -> Fraction:
     Vanishes precisely when the class with m parameters r_plus and m
     parameters r_minus carries a CSC representative.
     """
-    rp, rm = Fraction(r_plus), Fraction(r_minus)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not 0 < rp < 1:
-        raise ValueError("r_plus must lie in (0, 1)")
+    rp = _csc_args(m, r_plus)
+    rm = Fraction(r_minus)
     if not -1 < rm < 0:
         raise ValueError("r_minus must lie in (-1, 0)")
     return _csc_condition_raw(m, rp, rm)
 
 
+def _moment(n: int, rp: Fraction, k: int) -> Poly:
+    """The integral of z^k (1 + rp z)^n (1 + rm z)^n over [-1, 1], in rm.
+
+    The coefficient of rm^j is C(n, j) sum_i C(n, i) rp^i I(i + j + k),
+    where I(e), the integral of z^e, is 2/(e + 1) for even e and 0 for odd e.
+    """
+    plus = [comb(n, i) * rp ** i for i in range(n + 1)]
+    return poly(comb(n, j) * sum(a * Fraction(2, i + j + k + 1)
+                                 for i, a in enumerate(plus) if (i + j + k) % 2 == 0)
+                for j in range(n + 1))
+
+
 def csc_condition_polynomial(m: int, r_plus) -> Poly:
-    """The CSC obstruction as an exact polynomial in r_minus."""
-    rp = Fraction(r_plus)
-    bound = 2 * m + 2
-    points = [(Fraction(i), _csc_condition_raw(m, rp, Fraction(i)))
-              for i in range(bound + 1)]
-    g = lagrange_interpolate(points)
-    for probe in (Fraction(-3), Fraction(5, 2)):
-        if peval(g, probe) != _csc_condition_raw(m, rp, probe):
-            raise ArithmeticError("interpolated CSC obstruction fails its probe")
+    """The CSC obstruction alpha0 beta1 - alpha1 beta0 as a polynomial in r_minus.
+
+    With P = (1 + r_plus z)^m (1 + r_minus z)^m and Q the same with m - 1,
+    alpha_k is the integral of z^k P over [-1, 1], and beta_0, beta_1 are
+    P(1) + P(-1) and P(1) - P(-1), each plus 2m (r_plus - r_minus) times
+    the integral of z^k Q.  Each term is expanded in r_minus with binomial
+    coefficients (see _moment), so the result is exact by construction, has
+    degree at most 2m and agrees with csc_condition at every r_minus.  The
+    balanced family r_minus = -r_plus is always a root; the expansion is
+    checked against it and raises ArithmeticError if it misses.
+    """
+    rp = _csc_args(m, r_plus)
+    row = [comb(m, j) for j in range(m + 1)]
+    at_plus = pscale(poly(row), (1 + rp) ** m)                       # P(1)
+    at_minus = pscale(poly((-1) ** j * c for j, c in enumerate(row)),
+                      (1 - rp) ** m)                                 # P(-1)
+    drift = poly([2 * m * rp, -2 * m])                               # 2m (rp - rm)
+    alpha0, alpha1 = _moment(m, rp, 0), _moment(m, rp, 1)
+    beta0 = padd(padd(at_plus, at_minus), pmul(drift, _moment(m - 1, rp, 0)))
+    beta1 = padd(psub(at_plus, at_minus), pmul(drift, _moment(m - 1, rp, 1)))
+    g = psub(pmul(alpha0, beta1), pmul(alpha1, beta0))
+    if peval(g, -rp) != 0:
+        raise ArithmeticError("expanded CSC obstruction misses the root r_minus = -r_plus")
     return g
 
 
@@ -277,9 +328,7 @@ def csc_family_solve(m: int, r_plus, tolerance) -> list[Fraction]:
     refined by sign bisection to within the tolerance, so double points
     (family crossings) are found as well.
     """
-    tol = Fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _tolerance(tolerance)
     g = csc_condition_polynomial(m, r_plus)
     if not g:
         raise ArithmeticError("obstruction vanished identically")
@@ -302,13 +351,35 @@ def csc_second_family_polynomial(m: int, r_plus) -> Poly:
 
 def csc_second_family_roots(m: int, r_plus, tolerance) -> list[Fraction]:
     """Second-family solutions r_minus in (-1, 0), refined to the tolerance."""
-    tol = Fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _tolerance(tolerance)
     h = csc_second_family_polynomial(m, r_plus)
     if not h:
         raise ArithmeticError("deflated obstruction vanished identically")
     return roots_in_interval(h, Fraction(-1), Fraction(0), tol)
+
+
+def csc_family_sweep(m: int, step, tolerance,
+                     second_only: bool = False) -> Iterator[tuple[Fraction, Fraction]]:
+    """(r_plus, r_minus) for r_plus = step, 2 step, ... below 1 and each root.
+
+    The roots are those of csc_family_solve, or of csc_second_family_roots
+    when second_only is set.  The arguments are checked before the first
+    row is produced; the step must lie in (0, 1).
+    """
+    step = Fraction(step)
+    if not 0 < step < 1:
+        raise ValueError("sweep step must lie in (0, 1)")
+    _csc_args(m, step)
+    _tolerance(tolerance)
+    solve = csc_second_family_roots if second_only else csc_family_solve
+
+    def rows() -> Iterator[tuple[Fraction, Fraction]]:
+        for k in range(1, ceil(1 / step)):
+            rp = k * step
+            for root in solve(m, rp, tolerance):
+                yield rp, root
+
+    return rows()
 
 
 def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, AdmissibleData]:

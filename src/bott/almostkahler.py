@@ -193,6 +193,8 @@ def check_positivity(data: SquareFiberData, sol: AkSolution,
 
 
 def default_grid(density: int = DEFAULT_INTEGRABILITY_GRID) -> list[tuple[Fraction, Fraction]]:
+    if density < 1:
+        raise ValueError("grid density must be a positive integer")
     step = Fraction(1, density + 1)
     return [(i * step, j * step)
             for i in range(1, density + 1) for j in range(1, density + 1)]

@@ -59,6 +59,11 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _given(flag, default):
+    """The flag's value when it was given (0 included), else the default."""
+    return default if flag is None else flag
+
+
 def _load_matrix(args) -> BottMatrix:
     if getattr(args, "stage3", None) is not None:
         a, b, c = args.stage3
@@ -112,14 +117,9 @@ def emit_plot_data(kind: str, params: dict) -> str:
     """
     if kind == "csc-family":
         m = int(params["m"])
-        step = Fraction(params["sweep"])
         tol = Fraction(params.get("tolerance", Fraction(1, 10 ** 12)))
-        rows = []
-        rp = step
-        while rp < 1:
-            for root in adm.csc_family_solve(m, rp, tol):
-                rows.append((m, float(rp), float(root)))
-            rp += step
+        rows = [(m, float(rp), float(root))
+                for rp, root in adm.csc_family_sweep(m, params["sweep"], tol)]
         return _csv(("m", "r_plus", "r_minus"), rows)
     if kind == "cproj-trajectory":
         data = params["data"]
@@ -231,7 +231,7 @@ def _payload_for(args, limits: Limits):
 
     if cmd == "orbit":
         A = _load_matrix(args)
-        bound = args.stage_bound or limits.orbit_stage_bound
+        bound = _given(args.stage_bound, limits.orbit_stage_bound)
         return _orbit_json(equivalence_orbit(A, bound))
 
     if cmd == "cohomology":
@@ -272,14 +272,14 @@ def _payload_for(args, limits: Limits):
 
     if cmd == "roots":
         A = _load_matrix(args)
-        bound = args.stage_bound or limits.root_stage_bound
+        bound = _given(args.stage_bound, limits.root_stage_bound)
         roots = bfan.demazure_roots(A, bound)
         return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
                 "reductive": roots.is_symmetric()}
 
     if cmd == "reductive":
         A = _load_matrix(args)
-        bound = args.stage_bound or limits.root_stage_bound
+        bound = _given(args.stage_bound, limits.root_stage_bound)
         return bfan.is_reductive(A, bound)
 
     if cmd == "fano":
@@ -310,7 +310,7 @@ def _payload_for(args, limits: Limits):
     if cmd == "ak-solve":
         data = ak.SquareFiberData.make(args.p0, args.p1, args.p2)
         sol = ak.solve_ak(data)
-        grid = args.grid or limits.integrability_grid
+        grid = _given(args.grid, limits.integrability_grid)
         return {
             "solution": sol.to_json(),
             "determinant": str(ak.system_determinant(data)),
@@ -353,7 +353,7 @@ def _scan_rows(radius: int) -> list[dict]:
 
 
 def _csc_family_result(args, limits: Limits) -> CommandResult:
-    tol = args.tolerance or limits.csc_tolerance
+    tol = _given(args.tolerance, limits.csc_tolerance)
     inputs = {"m": args.m, "rplus": str(args.rplus) if args.rplus is not None else None,
               "sweep": str(args.sweep) if args.sweep is not None else None}
     if args.sweep is not None:

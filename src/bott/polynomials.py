@@ -2,9 +2,21 @@
 
 Univariate polynomials are tuples of Fractions, constant term first,
 normalized so the leading coefficient is nonzero (the zero polynomial is
-the empty tuple).  Root counting uses Sturm sequences on the squarefree
-part, so multiple roots are detected once, and isolation plus sign
-bisection refines roots to any tolerance without floating point.
+the empty tuple).
+
+Real roots are found on integer polynomials.  roots_in_interval scales p
+by a positive rational to coprime integer coefficients, takes its
+squarefree part (a primitive remainder sequence for gcd(p, p')) and builds
+one Sturm chain of that part; the isolation, its root counts and the
+sign bisection in refine_root all read that one chain.  The chain uses
+pseudo-remainders that multiply by |leading coefficient| instead of
+dividing, then divide by their content: each member is a positive
+multiple of the classical Sturm polynomial, so sign variations are
+unchanged and the coefficients do not grow along the chain.  The sign of
+an integer polynomial at x = p/q (q > 0) is the sign of the homogenized
+sum of c_i p^i q^(d - i), so no Fraction arithmetic happens per
+evaluation.  Multiple roots are reported once; exact rational roots come
+back exactly, others within the requested tolerance.
 
 Poly2 is a thin bivariate companion (dict of (i, j) -> Fraction) with
 just the operations the square-fiber solver needs: ring arithmetic,
@@ -15,6 +27,7 @@ nonnegative corners.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Poly = tuple[Fraction, ...]
@@ -127,40 +140,170 @@ def definite_integral(p: Poly, a, b) -> Fraction:
     return peval(anti, b) - peval(anti, a)
 
 
-def pgcd(p: Poly, q: Poly) -> Poly:
-    while q:
-        p, q = q, pdivmod(p, q)[1]
+# -- real roots on integer polynomials (constant term first; see the module
+# docstring for why positive rescaling is free) --------------------------
+
+IntPoly = tuple[int, ...]
+
+
+def _content_free(ints: Sequence[int]) -> IntPoly:
+    """ints, not all zero, divided by their positive gcd."""
+    content = gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def _primitive(p: Sequence) -> IntPoly:
+    """p times a positive rational: coprime integers, same signs and roots."""
+    p = poly(p)
     if not p:
-        return ZERO
-    return pscale(p, 1 / p[-1])
+        return ()
+    den = lcm(*(c.denominator for c in p))
+    return _content_free([c.numerator * (den // c.denominator) for c in p])
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if degree(p) < 1:
-        return p
-    g = pgcd(p, pderiv(p))
-    if degree(g) < 1:
-        return p
-    return pdiv_exact(p, g)
+def _int_deriv(f: IntPoly) -> IntPoly:
+    return tuple(i * c for i, c in enumerate(f) if i)
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, pderiv(p)]
-    while chain[-1]:
-        rem = pdivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(pneg(rem))
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """A positive multiple of the remainder of a by b, divided by its content.
+
+    Each division step multiplies by |lc(b)| > 0 instead of dividing by
+    lc(b), so the result has the sign pattern of the true remainder.
+    """
+    rem = list(a)
+    deg_b = len(b) - 1
+    scale = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    while len(rem) > deg_b:
+        factor = sign * rem.pop()
+        shift = len(rem) - deg_b
+        if scale != 1:
+            rem = [scale * c for c in rem]
+        for i in range(deg_b):
+            rem[shift + i] -= factor * b[i]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _content_free(rem) if rem else ()
+
+
+def _int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd up to sign, by the primitive remainder sequence."""
+    while b:
+        a, b = b, _prem(a, b)
+    return _content_free(a) if a else ()
+
+
+def _exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
+    rem = list(a)
+    deg_b = len(b) - 1
+    quo = [0] * (len(a) - deg_b)
+    for k in reversed(range(len(quo))):
+        c, r = divmod(rem[k + deg_b], b[-1])
+        if r:
+            raise ArithmeticError("integer division is not exact")
+        quo[k] = c
+        for i, bi in enumerate(b):
+            rem[k + i] -= c * bi
+    if any(rem):
+        raise ArithmeticError("integer division is not exact")
+    return tuple(quo)
+
+
+def _squarefree(f: IntPoly) -> IntPoly:
+    """Squarefree part of a primitive f, primitive and with f's leading sign."""
+    if len(f) < 3:
+        return f
+    g = _int_gcd(f, _int_deriv(f))
+    if len(g) == 1:
+        return f
+    return _exact_quotient(f, g if g[-1] > 0 else tuple(-c for c in g))
+
+
+def _sturm_chain(p: Poly) -> list[IntPoly]:
+    """Sturm chain of the squarefree part of p; chain[0] is that part.
+
+    Each member is a positive multiple of the classical Sturm polynomial.
+    """
+    chain = [_squarefree(_primitive(p))]
+    if len(chain[0]) > 1:
+        chain.append(_content_free(_int_deriv(chain[0])))
+        while True:
+            rem = _prem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(tuple(-c for c in rem))
     return chain
 
 
-def _variations(chain: Sequence[Poly], x) -> int:
-    signs = []
-    for q in chain:
-        v = peval(q, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(f: IntPoly, x: Fraction) -> int:
+    """Sign of f(p/q) from the homogenized sum of c_i p^i q^(d - i), q > 0."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    power = 1
+    for c in reversed(f):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
+    count = 0
+    last = 0
+    for f in chain:
+        s = _sign_at(f, x)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
+    return count
+
+
+def _count(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
+    """Distinct roots in the open interval (a, b), for a < b."""
+    count = _variations(chain, a) - _variations(chain, b)
+    if _sign_at(chain[0], b) == 0:
+        count -= 1
+    return count
+
+
+def _isolate(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    sf = chain[0]
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def recurse(lo: Fraction, hi: Fraction, n_roots: int) -> None:
+        if n_roots == 0:
+            return
+        if n_roots == 1 and _sign_at(sf, lo) * _sign_at(sf, hi) < 0:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if _sign_at(sf, mid) == 0:
+            out.append((mid, mid))
+        left = _count(chain, lo, mid)
+        right = _count(chain, mid, hi)
+        recurse(lo, mid, left)
+        recurse(mid, hi, right)
+
+    if a < b:
+        recurse(a, b, _count(chain, a, b))
+    return sorted(out)
+
+
+def pgcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor."""
+    g = _int_gcd(_primitive(p), _primitive(q))
+    if not g:
+        return ZERO
+    return pscale(g, Fraction(1, g[-1]))
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """p divided by the monic gcd of p and p'."""
+    if degree(p) < 1:
+        return p
+    sf = _squarefree(_primitive(p))
+    return pscale(sf, p[-1] / sf[-1])
 
 
 def count_roots_open(p: Poly, a, b) -> int:
@@ -170,14 +313,7 @@ def count_roots_open(p: Poly, a, b) -> int:
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         return 0
-    sf = squarefree_part(p)
-    if degree(sf) == 0:
-        return 0
-    chain = _sturm_chain(sf)
-    count = _variations(chain, a) - _variations(chain, b)
-    if peval(sf, b) == 0:
-        count -= 1
-    return count
+    return _count(_sturm_chain(p), a, b)
 
 
 def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
@@ -187,63 +323,55 @@ def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
     """
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    a, b = Fraction(a), Fraction(b)
-    sf = squarefree_part(p)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def recurse(lo: Fraction, hi: Fraction, n_roots: int) -> None:
-        if n_roots == 0:
-            return
-        if n_roots == 1 and peval(sf, lo) * peval(sf, hi) < 0:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if peval(sf, mid) == 0:
-            out.append((mid, mid))
-        left = count_roots_open(sf, lo, mid)
-        right = count_roots_open(sf, mid, hi)
-        recurse(lo, mid, left)
-        recurse(mid, hi, right)
-
-    recurse(a, b, count_roots_open(sf, a, b))
-    return sorted(out)
+    return _isolate(_sturm_chain(p), Fraction(a), Fraction(b))
 
 
-def refine_root(p: Poly, lo: Fraction, hi: Fraction, tol) -> Fraction:
+def refine_root(p: Poly, lo, hi, tol, chain: Sequence[IntPoly] | None = None) -> Fraction:
     """Bisect a sign-changing bracket down to width tol; exact roots pass through.
 
-    After bisection the simplest rational in the bracket is probed, so
-    roots with small denominators come back exactly.
+    Signs come from the squarefree part, chain[0] of p's Sturm chain when
+    the caller has built it.  After bisection the simplest rational in
+    the bracket is probed, so roots with small denominators come back
+    exactly.
     """
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo == hi:
         return lo
     tol = Fraction(tol)
-    sf = squarefree_part(p)
-    flo = peval(sf, lo)
-    if flo == 0:
+    sf = chain[0] if chain is not None else _squarefree(_primitive(p))
+    slo = _sign_at(sf, lo)
+    if slo == 0:
         return lo
-    if peval(sf, hi) == 0:
+    if _sign_at(sf, hi) == 0:
         return hi
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        fmid = peval(sf, mid)
-        if fmid == 0:
+        smid = _sign_at(sf, mid)
+        if smid == 0:
             return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if smid == slo:
+            lo = mid
         else:
             hi = mid
     mid = (lo + hi) / 2
     for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
         snap = mid.limit_denominator(bound)
-        if lo <= snap <= hi and peval(sf, snap) == 0:
+        if lo <= snap <= hi and _sign_at(sf, snap) == 0:
             return snap
     return mid
 
 
 def roots_in_interval(p: Poly, a, b, tol) -> list[Fraction]:
-    """All distinct roots of p in (a, b), each within tol of the true root."""
-    return [refine_root(p, lo, hi, tol) for lo, hi in isolate_roots(p, a, b)]
+    """All distinct roots of p in (a, b), each within tol of the true root.
+
+    One squarefree part and one Sturm chain serve the isolation and every
+    refinement.
+    """
+    if not p:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    chain = _sturm_chain(p)
+    return [refine_root(p, lo, hi, tol, chain=chain)
+            for lo, hi in _isolate(chain, Fraction(a), Fraction(b))]
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:

@@ -3,8 +3,11 @@
 The oracles here deliberately avoid the code paths they check: support
 functions are evaluated by scanning all maximal cones, orbits are closed
 by breadth-first search over the generator moves or found by trying all
-2^n * n! signed permutations, and the square-fiber linear system is
-re-derived from the extremal equation itself.
+2^n * n! signed permutations, the square-fiber linear system is
+re-derived from the extremal equation itself, real roots are isolated
+with Sturm chains over Fraction coefficients (Euclidean gcd, rebuilt on
+every call), and the CSC obstruction polynomial is interpolated from
+pointwise evaluations.
 """
 
 import itertools
@@ -12,6 +15,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
+
+from bott import admissible as adm
 
 from bott.core import (
     BottMatrix,
@@ -21,6 +26,17 @@ from bott.core import (
     transposition,
 )
 from bott.fan import BottFan, SupportFunction
+from bott.polynomials import (
+    Poly,
+    degree,
+    lagrange_interpolate,
+    pdiv_exact,
+    pdivmod,
+    pderiv,
+    peval,
+    pneg,
+    pscale,
+)
 
 
 def lower_triangular(n, entries):
@@ -300,3 +316,130 @@ def apply_signed_permutation_generic(A: BottMatrix, sigma: Sequence[int],
         if rows[i][i] != 1 or any(rows[i][j] for j in range(i + 1, n)):
             return None
     return BottMatrix.from_rows(rows)
+
+
+# -- real roots over Fraction coefficients -----------------------------------
+
+def pgcd_oracle(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    if not p:
+        return ()
+    return pscale(p, 1 / p[-1])
+
+
+def squarefree_part_oracle(p: Poly) -> Poly:
+    if degree(p) < 1:
+        return p
+    g = pgcd_oracle(p, pderiv(p))
+    if degree(g) < 1:
+        return p
+    return pdiv_exact(p, g)
+
+
+def _sturm_chain_oracle(p: Poly) -> list[Poly]:
+    chain = [p, pderiv(p)]
+    while chain[-1]:
+        rem = pdivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(pneg(rem))
+    return chain
+
+
+def _variations_oracle(chain: Sequence[Poly], x) -> int:
+    signs = []
+    for q in chain:
+        v = peval(q, x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_open_oracle(p: Poly, a, b) -> int:
+    a, b = Fraction(a), Fraction(b)
+    if a >= b:
+        return 0
+    sf = squarefree_part_oracle(p)
+    if degree(sf) == 0:
+        return 0
+    chain = _sturm_chain_oracle(sf)
+    count = _variations_oracle(chain, a) - _variations_oracle(chain, b)
+    if peval(sf, b) == 0:
+        count -= 1
+    return count
+
+
+def isolate_roots_oracle(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
+    a, b = Fraction(a), Fraction(b)
+    sf = squarefree_part_oracle(p)
+    out = []
+
+    def recurse(lo, hi, n_roots):
+        if n_roots == 0:
+            return
+        if n_roots == 1 and peval(sf, lo) * peval(sf, hi) < 0:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if peval(sf, mid) == 0:
+            out.append((mid, mid))
+        recurse(lo, mid, count_roots_open_oracle(sf, lo, mid))
+        recurse(mid, hi, count_roots_open_oracle(sf, mid, hi))
+
+    recurse(a, b, count_roots_open_oracle(sf, a, b))
+    return sorted(out)
+
+
+def refine_root_oracle(p: Poly, lo: Fraction, hi: Fraction, tol) -> Fraction:
+    if lo == hi:
+        return lo
+    tol = Fraction(tol)
+    sf = squarefree_part_oracle(p)
+    flo = peval(sf, lo)
+    if flo == 0:
+        return lo
+    if peval(sf, hi) == 0:
+        return hi
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        fmid = peval(sf, mid)
+        if fmid == 0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    mid = (lo + hi) / 2
+    for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
+        snap = mid.limit_denominator(bound)
+        if lo <= snap <= hi and peval(sf, snap) == 0:
+            return snap
+    return mid
+
+
+def roots_in_interval_oracle(p: Poly, a, b, tol) -> list[Fraction]:
+    return [refine_root_oracle(p, lo, hi, tol) for lo, hi in isolate_roots_oracle(p, a, b)]
+
+
+# -- the CSC obstruction by interpolation --------------------------------------
+
+def csc_condition_polynomial_oracle(m: int, r_plus) -> Poly:
+    """The obstruction through 2m + 3 pointwise evaluations in r_minus.
+
+    Its degree is at most 2m, so Lagrange interpolation on r_minus = 0..2m+2
+    recovers it exactly; two off-grid probes confirm that.
+    """
+    rp = Fraction(r_plus)
+    points = [(Fraction(i), adm._csc_condition_raw(m, rp, Fraction(i)))
+              for i in range(2 * m + 3)]
+    g = lagrange_interpolate(points)
+    for probe in (Fraction(-3), Fraction(5, 2)):
+        assert peval(g, probe) == adm._csc_condition_raw(m, rp, probe)
+    return g
+
+
+def csc_family_solve_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
+    g = csc_condition_polynomial_oracle(m, r_plus)
+    return roots_in_interval_oracle(g, Fraction(-1), Fraction(0), tolerance)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 from bott import admissible as adm
-from bott.polynomials import degree, pderiv, peval, pmul, poly, pscale, psub
+from bott.polynomials import ONE, degree, padd, pderiv, peval, pmul, poly, pscale, psub
+from conftest import csc_condition_polynomial_oracle, csc_family_solve_oracle
 
 TOL = Fraction(1, 10 ** 12)
+SMALL_RPLUS = sorted({Fraction(p, q) for q in range(2, 11) for p in range(1, q)})
+LARGE_RPLUS = [Fraction(13, 47), Fraction(50, 99), Fraction(83, 91)]
 
 
 def ks_polynomial(r):
@@ -42,6 +45,27 @@ class TestAdmissibleData:
     def test_json_round_trip(self):
         data = adm.ks_data(Fraction(2, 7))
         assert adm.AdmissibleData.from_json(data.to_json()) == data
+
+    @pytest.mark.parametrize("d", [Fraction(3, 2), 1.5, True, "1", None])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.make([(d, 2, Fraction(2, 5))])
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.from_json({"components": [{"d": d, "s": "2", "r": "2/5"}]})
+
+    @pytest.mark.parametrize("obj", [
+        {"components": 5}, {"components": [5]}, {"components": [{"d": 1, "s": "2"}]},
+        {"components": [{"d": 1, "s": None, "r": "2/5"}]}, {"components": [[1, 2]]},
+        {"component": []}, [1],
+    ])
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.from_json(obj)
+
+    @pytest.mark.parametrize("comps", [5, [5], [(1, 2)], [(1, [2], Fraction(1, 2))]])
+    def test_malformed_components_rejected(self, comps):
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.make(comps)
 
 
 class TestExtremalPolynomial:
@@ -180,13 +204,32 @@ class TestCscCondition:
         with pytest.raises(ValueError):
             adm.csc_condition(1, Fraction(1, 2), Fraction(1, 2))
 
-    def test_interpolation_probe_raises(self, monkeypatch):
-        # a corrupted sample must fail the probe, also under python -O
-        real = adm.lagrange_interpolate
-        monkeypatch.setattr(adm, "lagrange_interpolate",
-                            lambda pts: real([(pts[0][0], pts[0][1] + 1), *pts[1:]]))
+    def test_expansion_self_check_raises(self, monkeypatch):
+        # an expansion that misses the root r_minus = -r_plus must raise
+        # ArithmeticError, also under python -O
+        real = adm._moment
+        monkeypatch.setattr(adm, "_moment", lambda n, rp, k: padd(real(n, rp, k), ONE))
         with pytest.raises(ArithmeticError):
             adm.csc_condition_polynomial(2, Fraction(4, 5))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_expansion_matches_interpolation(self, m):
+        for rp in SMALL_RPLUS + LARGE_RPLUS:
+            g = adm.csc_condition_polynomial(m, rp)
+            assert g == csc_condition_polynomial_oracle(m, rp)
+            assert degree(g) <= 2 * m
+
+    @pytest.mark.parametrize("m, rp", [(0, Fraction(1, 2)), (-1, Fraction(1, 2)),
+                                       (True, Fraction(1, 2)), (2, 0), (2, 1),
+                                       (2, Fraction(3, 2)), (2, Fraction(-1, 2))])
+    def test_solver_range_validation(self, m, rp):
+        for call in (lambda: adm.csc_condition_polynomial(m, rp),
+                     lambda: adm.csc_family_solve(m, rp, TOL),
+                     lambda: adm.csc_second_family_polynomial(m, rp),
+                     lambda: adm.csc_second_family_roots(m, rp, TOL),
+                     lambda: adm.csc_condition(m, rp, Fraction(-1, 2))):
+            with pytest.raises(ValueError):
+                call()
 
     def test_m2_sign_change_off_first_family(self):
         # second family crossing below -1/2 for r_plus = 4/5
@@ -214,6 +257,41 @@ class TestCscFamilySolve:
         assert adm.csc_second_family_roots(2, Fraction(4, 5), TOL)
         assert adm.csc_second_family_roots(2, Fraction(1, 2), TOL) == [Fraction(-1, 2)]
         assert adm.csc_second_family_roots(2, Fraction(1, 5), TOL) == []
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_roots_match_oracle_path(self, m):
+        # one r_plus below 1/2 and one above, where the second family appears
+        for rp in (SMALL_RPLUS[3 * m], LARGE_RPLUS[m % 3]):
+            assert adm.csc_family_solve(m, rp, TOL) == csc_family_solve_oracle(m, rp, TOL)
+
+    def test_tolerance_validation(self):
+        for tol in (0, -TOL):
+            with pytest.raises(ValueError):
+                adm.csc_family_solve(2, Fraction(1, 2), tol)
+            with pytest.raises(ValueError):
+                adm.csc_second_family_roots(2, Fraction(1, 2), tol)
+
+    def test_sweep_rows(self):
+        step = Fraction(1, 8)
+        rows = list(adm.csc_family_sweep(2, step, TOL))
+        expected = [(k * step, root) for k in range(1, 8)
+                    for root in adm.csc_family_solve(2, k * step, TOL)]
+        assert rows == expected
+        second = list(adm.csc_family_sweep(2, step, TOL, second_only=True))
+        assert second == [(k * step, root) for k in range(1, 8)
+                          for root in adm.csc_second_family_roots(2, k * step, TOL)]
+
+    @pytest.mark.parametrize("step", [0, 1, 2, Fraction(-1, 4), Fraction(5, 4)])
+    def test_sweep_step_validation(self, step):
+        # rejected on the call, before any row is produced
+        with pytest.raises(ValueError):
+            adm.csc_family_sweep(2, step, TOL)
+
+    def test_sweep_argument_validation(self):
+        with pytest.raises(ValueError):
+            adm.csc_family_sweep(0, Fraction(1, 4), TOL)
+        with pytest.raises(ValueError):
+            adm.csc_family_sweep(2, Fraction(1, 4), 0)
 
     def test_roots_within_tolerance(self):
         tol = Fraction(1, 10 ** 9)

@@ -114,9 +114,31 @@ class TestAdmissibleCommands:
             rp, rm = float(rp), float(rm)
             assert abs(rm + rp) < 1e-9 or abs(rm - (rp - 1)) < 1e-9
 
-    def test_empty_sweep(self):
-        result = run(["csc-family", "--m", "1", "--sweep", "2"])
-        assert result.text == "m,r_plus,r_minus\n"
+    @pytest.mark.parametrize("step", ["0", "1", "2"])
+    def test_sweep_step_out_of_range(self, step):
+        # a zero step used to loop forever, a step >= 1 to print an empty CSV
+        result = run(["csc-family", "--m", "1", "--sweep", step])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "2", "--rplus", "1"], ["--m", "2", "--rplus", "0"],
+        ["--m", "0", "--rplus", "1/2"], ["--m", "-1", "--sweep", "1/4"],
+        ["--m", "2", "--rplus", "1/2", "--tolerance", "0"],
+        ["--m", "2", "--sweep", "1/4", "--tolerance", "0"],
+    ])
+    def test_csc_family_out_of_range(self, argv):
+        result = run(["csc-family", *argv])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+
+    def test_explicit_tolerance_used(self):
+        coarse = run(["csc-family", "--m", "2", "--rplus", "4/5", "--tolerance", "1/4"])
+        fine = run(["csc-family", "--m", "2", "--rplus", "4/5"])
+        pairs = list(zip(coarse.payload["roots"], fine.payload["roots"]))
+        assert len(pairs) == 2
+        assert all(c != f and abs(Fraction(c) - Fraction(f)) <= Fraction(1, 4)
+                   for c, f in pairs)
 
     def test_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19"])
@@ -211,6 +233,29 @@ class TestErrors:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["orbit", "--matrix", blob]) == 1
+        assert json.loads(err.getvalue())["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("command", ["reductive", "roots", "orbit"])
+    def test_zero_stage_bound_is_a_bound(self, command):
+        result = run([command, "--stage3", "1", "2", "3", "--stage-bound", "0"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "stage_too_large"
+
+    def test_zero_grid_rejected(self):
+        result = run(["ak-solve", "1", "2", "2", "--grid", "0"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("blob", [
+        '{"components": [{"d": 1.5, "s": "2", "r": "2/5"}, {"d": 1, "s": "-2", "r": "-3/5"}]}',
+        '{"components": [{"d": true, "s": "2", "r": "2/5"}, {"d": 1, "s": "-2", "r": "-3/5"}]}',
+        '{"components": 5}', '{"components": [5]}', '{"components": [{"d": 1, "s": "2"}]}',
+        '{"components": [{"d": 1, "s": null, "r": "2/5"}]}',
+    ])
+    def test_invalid_admissible_data(self, blob):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["extremal-poly", "--data", blob]) == 1
         assert json.loads(err.getvalue())["error"] == "invalid_input"
 
     def test_singular_cproj(self):

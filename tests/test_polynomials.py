@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bott import polynomials
 from bott.polynomials import (
     Poly2,
     count_roots_open,
@@ -24,10 +25,19 @@ from bott.polynomials import (
     roots_in_interval,
     squarefree_part,
 )
+from conftest import (
+    count_roots_open_oracle,
+    isolate_roots_oracle,
+    pgcd_oracle,
+    roots_in_interval_oracle,
+    squarefree_part_oracle,
+)
 
 small_fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 polys = st.lists(small_fracs, min_size=0, max_size=6).map(poly)
 nonzero_polys = polys.filter(lambda p: p != ())
+sparse_polys = st.lists(st.one_of(st.just(Fraction(0)), small_fracs),
+                        min_size=2, max_size=7).map(poly).filter(lambda p: degree(p) >= 1)
 
 
 class TestRingOps:
@@ -116,6 +126,80 @@ class TestRoots:
     def test_interpolation_reproduces(self, p):
         points = [(Fraction(i), peval(p, i)) for i in range(len(p) + 1)]
         assert lagrange_interpolate(points) == p
+
+
+# products of rational linear factors, repeated roots included, times a
+# rational scale and optionally an irreducible quadratic with irrational roots
+linear_factors = st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
+                          min_size=1, max_size=6)
+scales = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+def from_roots(roots, scale, quadratic=False):
+    p = poly([scale])
+    for r in roots:
+        p = pmul(p, poly([-r, 1]))
+    if quadratic:
+        p = pmul(p, poly([-2, 0, 1]))     # roots +-sqrt(2)
+    return p
+
+
+class TestAgainstFractionSturm:
+    """The integer Sturm path against the Fraction-Euclid oracle in conftest."""
+
+    @given(linear_factors, scales, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example([Fraction(1, 2)] * 3 + [Fraction(-1, 3)] * 2, Fraction(-7, 3), False)
+    @example([Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(-3)], Fraction(5), True)
+    def test_root_routines(self, roots, scale, quadratic):
+        p = from_roots(roots, scale, quadratic)
+        tol = Fraction(1, 10 ** 9)
+        for a, b in ((-3, 3), (Fraction(-1, 3), Fraction(1, 2)), (0, 1), (-1, 0)):
+            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
+            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
+            assert roots_in_interval(p, a, b, tol) == roots_in_interval_oracle(p, a, b, tol)
+
+    @given(linear_factors, scales, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_part_and_gcd(self, roots, scale, quadratic):
+        p = from_roots(roots, scale, quadratic)
+        assert squarefree_part(p) == squarefree_part_oracle(p)
+        q = pderiv(p)
+        assert pgcd(p, q) == pgcd_oracle(p, q)
+
+    # sparse coefficients give remainder sequences whose degree drops by
+    # more than one, where a negative leading coefficient flips signs
+    # unless the pseudo-division scales by its absolute value
+    @given(sparse_polys, small_fracs)
+    @settings(max_examples=100, deadline=None)
+    @example(poly([0, 1, 0, -1]), Fraction(1, 2))
+    @example(poly([0, 0, -1, 0, 0, 0, -3]), Fraction(0))
+    @example(poly([-2, 4, -1, 0, -1]), Fraction(1))
+    def test_random_polynomials(self, p, x):
+        for a, b in ((x - 2, x + 1), (-3, 3), (-4, x)):
+            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
+            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
+
+    @given(nonzero_polys, small_fracs)
+    def test_sign_at_matches_horner(self, p, x):
+        value = peval(p, x)
+        f = polynomials._primitive(p)
+        assert polynomials._sign_at(f, x) == (value > 0) - (value < 0)
+
+    def test_one_chain_per_isolation(self, monkeypatch):
+        calls = {"_squarefree": 0, "_sturm_chain": 0}
+        for name in calls:
+            real = getattr(polynomials, name)
+
+            def counted(f, real=real, name=name):
+                calls[name] += 1
+                return real(f)
+
+            monkeypatch.setattr(polynomials, name, counted)
+        p = from_roots([Fraction(-1, 2)] * 2 + [Fraction(1, 3), Fraction(1, 5), 0], 3, True)
+        found = roots_in_interval(p, -2, 2, Fraction(1, 10 ** 12))
+        assert len(found) == 6
+        assert calls == {"_squarefree": 1, "_sturm_chain": 1}
 
 
 class TestPoly2:

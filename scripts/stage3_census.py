@@ -3,7 +3,8 @@
 
 Columns: twisting degrees, holomorphic twist/cotwist, the Pontrjagin
 multiple, triviality type, reductivity, Fano and Kahler-Einstein status,
-and the diffeomorphism key.
+and the diffeomorphism key.  The rows come from `bott.cli.stage3_rows`,
+which `bott scan` uses too.
 
     python scripts/stage3_census.py --radius 2 > census.csv
 """
@@ -11,10 +12,12 @@ and the diffeomorphism key.
 import argparse
 import sys
 
-from bott import cohomology as coh
-from bott import fan as bfan
-from bott import topology3 as t3
-from bott.core import BottMatrix, cotwist, twist
+from bott.cli import stage3_rows
+
+HEADER = ("a", "b", "c", "twist", "cotwist", "toptwist", "p1", "q_type", "reductive",
+          "fano", "ke", "diffeo_key")
+COLUMNS = ("a", "b", "c", "twist", "cotwist", "topological_twist", "p1", "q_type",
+           "reductive", "fano", "ke", "diffeo_key")
 
 
 def main() -> None:
@@ -23,20 +26,9 @@ def main() -> None:
     args = parser.parse_args()
 
     out = sys.stdout
-    out.write("a,b,c,twist,cotwist,toptwist,p1,q_type,reductive,fano,ke,diffeo_key\n")
-    rng = range(-args.radius, args.radius + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                A = BottMatrix.stage3(a, b, c)
-                inv = t3.stage3_invariants(a, b, c)
-                key = "|".join(str(part) for part in inv.diffeo_key())
-                out.write(",".join(map(str, [
-                    a, b, c, twist(A), cotwist(A), coh.topological_twist(A),
-                    inv.p, inv.q_trivial_type or "-",
-                    bfan.is_reductive(A), bfan.is_fano(A),
-                    bfan.kahler_einstein_stage34(A), key,
-                ])) + "\n")
+    out.write(",".join(HEADER) + "\n")
+    for row in stage3_rows(args.radius, census=True):
+        out.write(",".join(str(row[key]) for key in COLUMNS) + "\n")
 
 
 if __name__ == "__main__":

@@ -79,8 +79,19 @@ class AdmissibleData:
 
     @classmethod
     def make(cls, components: Sequence[tuple[int, object, object]]) -> "AdmissibleData":
+        """Build from (d, s, r) triples; s and r are ints, Fractions or rational strings.
+
+        Floats are refused: a JSON 0.4 would otherwise become the binary
+        fraction 3602879701896397/9007199254740992.
+        """
+        def exact(value) -> Fraction:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+                raise ValueError(f"s and r must be integers or rational strings, "
+                                 f"got {value!r}")
+            return Fraction(value)
+
         try:
-            return cls(tuple((d, Fraction(s), Fraction(r)) for d, s, r in components))
+            return cls(tuple((d, exact(s), exact(r)) for d, s, r in components))
         except TypeError as exc:
             raise ValueError("components must be (d, s, r) triples with an "
                              "integer d and rational s, r") from exc

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import admissible as adm
 from . import almostkahler as ak
@@ -319,7 +320,7 @@ def _payload_for(args, limits: Limits):
         }
 
     if cmd == "scan":
-        return _scan_rows(args.radius)
+        return list(stage3_rows(args.radius))
 
     raise ValueError(f"unhandled command {cmd}")
 
@@ -331,25 +332,31 @@ def _load_admissible(raw: str) -> adm.AdmissibleData:
     return adm.AdmissibleData.from_json(json.loads(raw))
 
 
-def _scan_rows(radius: int) -> list[dict]:
-    rows = []
-    rng = range(-radius, radius + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                A = BottMatrix.stage3(a, b, c)
-                inv = t3.stage3_invariants(a, b, c)
-                rows.append({
-                    "a": a, "b": b, "c": c,
-                    "twist": twist(A),
-                    "cotwist": cotwist(A),
-                    "reductive": bfan.is_reductive(A),
-                    "fano": bfan.is_fano(A),
-                    "p1": inv.p,
-                    "q_trivial": inv.q_trivial,
-                    "topological_twist": coh.topological_twist(A),
-                })
-    return rows
+def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
+    """Invariants of every stage-3 tower with |a|, |b|, |c| <= radius, in scan order.
+
+    These are the rows of `bott scan`.  census=True adds the q-trivial
+    type ("-" when not rationally trivial), the Kahler-Einstein status and
+    the diffeomorphism key, which scripts/stage3_census.py prints as well.
+    """
+    for a, b, c in itertools.product(range(-radius, radius + 1), repeat=3):
+        A = BottMatrix.stage3(a, b, c)
+        inv = t3.stage3_invariants(a, b, c)
+        row = {
+            "a": a, "b": b, "c": c,
+            "twist": twist(A),
+            "cotwist": cotwist(A),
+            "reductive": bfan.is_reductive(A),
+            "fano": bfan.is_fano(A),
+            "p1": inv.p,
+            "q_trivial": inv.q_trivial,
+            "topological_twist": coh.topological_twist(A),
+        }
+        if census:
+            row["q_type"] = inv.q_trivial_type or "-"
+            row["ke"] = bfan.kahler_einstein_stage34(A)
+            row["diffeo_key"] = "|".join(str(part) for part in inv.diffeo_key())
+        yield row
 
 
 def _csc_family_result(args, limits: Limits) -> CommandResult:
@@ -398,10 +405,10 @@ def _cproj_result(args, limits: Limits) -> CommandResult:
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     parser = build_parser()
     args = parser.parse_args(argv)
-    limits = load_limits(args.config)
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
     try:
+        limits = load_limits(args.config)
         if args.command == "csc-family":
             return _csc_family_result(args, limits)
         if args.command == "cproj":

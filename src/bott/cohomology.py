@@ -309,8 +309,17 @@ class CohomologyRing:
         return count
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def ring(A: BottMatrix) -> CohomologyRing:
+    """The ring of A, shared by consecutive calls on the same tower.
+
+    The repeat traffic is a few calls on one tower in a row: the
+    `cohomology` and `classes c|p|w2` commands, or the module-level
+    helpers below.  A ring keeps every monomial product it has reduced,
+    up to megabytes at n = 8..11, while rebuilding every class of a
+    stage-3 ring costs about 0.3 ms; so the cache holds only a few
+    recent towers instead of every tower a long scan has seen.
+    """
     return CohomologyRing(A)
 
 

@@ -1,7 +1,9 @@
 """Runtime limits and tolerances, overridable from a JSON config file.
 
 The config path is taken from the BOTT_CONFIG environment variable (or
-passed explicitly); individual CLI flags override file values.
+passed explicitly); individual CLI flags override file values.  A file
+that cannot be read or parsed, or that holds a value of the wrong type,
+raises OSError or ValueError; the CLI answers either with invalid_input.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 ENV_VAR = "BOTT_CONFIG"
+INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth",
+              "integrability_grid")
 
 
 @dataclass(frozen=True)
@@ -31,11 +35,22 @@ def load_limits(path: str | None = None) -> Limits:
         return limits
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("the config file must hold a JSON object")
     updates = {}
-    for field in ("orbit_stage_bound", "root_stage_bound", "positivity_depth",
-                  "integrability_grid"):
+    for field in INT_FIELDS:
         if field in raw:
-            updates[field] = int(raw[field])
+            value = raw[field]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+            updates[field] = value
     if "csc_tolerance" in raw:
-        updates["csc_tolerance"] = Fraction(str(raw["csc_tolerance"]))
+        value = raw["csc_tolerance"]
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"csc_tolerance must be a number or a rational string, "
+                             f"got {value!r}")
+        tol = Fraction(str(value))
+        if tol <= 0:
+            raise ValueError("csc_tolerance must be positive")
+        updates["csc_tolerance"] = tol
     return replace(limits, **updates)

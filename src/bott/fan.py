@@ -10,7 +10,6 @@ and the primitive collections are exactly the pairs {u_j, v_j}.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -189,57 +188,40 @@ class DemazureRootSet:
         return tuple(chi) in self.roots
 
 
-def _solve_unique(rows: list[Sequence[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    """Unique solution of a square rational system, or None."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def demazure_roots(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> DemazureRootSet:
-    """All Demazure roots of the tower's fan.
+    """All Demazure roots of the tower's fan, by triangular back-substitution.
 
-    For each ray the admissible covectors form a bounded polytope (the
-    rays positively span the Lie algebra), whose vertices are found by
-    solving the n-subsets of active constraints; integer points are then
-    read off from the vertex bounding box.
+    With v_i = e_i and u_i = -e_i - sum_{k>i} A[k][i] e_k, the conditions
+    on the pair v_i, u_i read -sum_{k>i} A[k][i] chi_k <= chi_i <= 0, a
+    bound on chi_i by later coordinates only.  For the distinguished ray
+    v_j (u_j) this forces chi_k = 0 for every k > j, from the last stage
+    down; chi_j = +1 (-1); and each chi_i with i < j runs over the
+    integers of [-sum_{k>i} A[k][i] chi_k, 0], from stage j - 1 down to
+    stage 0.  The cost is the number of lattice points visited in these
+    nested intervals; no linear system is solved.
     """
     n = A.n
     if n > stage_bound:
         raise StageTooLarge(f"stage {n} exceeds bound {stage_bound}")
-    fan = BottFan(A)
-    normals = [vec for _, _, vec in fan.rays()]
+    # column i of A below the diagonal, as (k, A[k][i]) pairs
+    below = [[(k, A.rows[k][i]) for k in range(i + 1, n) if A.rows[k][i]] for i in range(n)]
     roots: set[tuple[int, ...]] = set()
-    for idx, n_rho in enumerate(normals):
-        others = [normals[i] for i in range(len(normals)) if i != idx]
-        vertices: list[list[Fraction]] = []
-        for combo in itertools.combinations(others, n - 1):
-            sol = _solve_unique([n_rho, *combo], [1] + [0] * (n - 1))
-            if sol is None:
-                continue
-            if all(sum(v[i] * sol[i] for i in range(n)) <= 0 for v in others):
-                vertices.append(sol)
-        if not vertices:
-            continue
-        lo = [min(v[i] for v in vertices) for i in range(n)]
-        hi = [max(v[i] for v in vertices) for i in range(n)]
-        ranges = [range(math.ceil(lo[i]), math.floor(hi[i]) + 1) for i in range(n)]
-        for chi in itertools.product(*ranges):
-            if sum(a * b for a, b in zip(n_rho, chi)) != 1:
-                continue
-            if all(sum(a * b for a, b in zip(v, chi)) <= 0 for v in others):
-                roots.add(chi)
+    chi = [0] * n
+
+    def descend(i: int) -> None:
+        if i < 0:
+            roots.add(tuple(chi))
+            return
+        for value in range(-sum(a * chi[k] for k, a in below[i]), 1):
+            chi[i] = value
+            descend(i - 1)
+        chi[i] = 0
+
+    for j in range(n):
+        for sign in (1, -1):
+            chi[j] = sign
+            descend(j - 1)
+            chi[j] = 0
     return DemazureRootSet(n, frozenset(roots))
 
 

@@ -1,7 +1,8 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: support
-functions are evaluated by scanning all maximal cones, orbits are closed
+functions are evaluated by scanning all maximal cones, Demazure roots
+are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, the square-fiber linear system is
 re-derived from the extremal equation itself, real roots are isolated
@@ -11,6 +12,7 @@ pointwise evaluations.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -142,6 +144,40 @@ def stage3_roots_oracle(A: BottMatrix) -> set[tuple[int, int, int]]:
                 if values.count(1) >= 1 and all(v == 1 or v <= 0 for v in values):
                     if sum(1 for v in values if v == 1) == 1:
                         roots.add(chi)
+    return roots
+
+
+def demazure_roots_vertex_oracle(A: BottMatrix) -> set[tuple[int, ...]]:
+    """Demazure roots from the vertices of each ray's root polytope.
+
+    For each ray the admissible covectors form a bounded polytope (the
+    rays positively span the dual space), whose vertices are found by
+    solving the n-subsets of active constraints with `_solve`; integer
+    points are then read off from the vertex bounding box.  This costs
+    C(2n-1, n-1) Fraction systems per ray.
+    """
+    n = A.n
+    normals = [vec for _, _, vec in BottFan(A).rays()]
+    roots = set()
+    for idx, n_rho in enumerate(normals):
+        others = normals[:idx] + normals[idx + 1:]
+        vertices = []
+        for combo in itertools.combinations(others, n - 1):
+            # _solve takes the columns of the system [n_rho, *combo] chi = e_1
+            sol = _solve(list(zip(n_rho, *combo)), [1] + [0] * (n - 1))
+            if sol is None:
+                continue
+            if all(sum(v[i] * sol[i] for i in range(n)) <= 0 for v in others):
+                vertices.append(sol)
+        if not vertices:
+            continue
+        ranges = [range(math.ceil(min(v[i] for v in vertices)),
+                        math.floor(max(v[i] for v in vertices)) + 1) for i in range(n)]
+        for chi in itertools.product(*ranges):
+            if sum(a * b for a, b in zip(n_rho, chi)) != 1:
+                continue
+            if all(sum(a * b for a, b in zip(v, chi)) <= 0 for v in others):
+                roots.add(chi)
     return roots
 
 

@@ -62,6 +62,18 @@ class TestAdmissibleData:
         with pytest.raises(ValueError):
             adm.AdmissibleData.from_json(obj)
 
+    @pytest.mark.parametrize("s, r", [(2, 0.4), (2.0, "2/5"), (True, "2/5"), (2, False)])
+    def test_float_and_bool_parameters_rejected(self, s, r):
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.make([(1, s, r)])
+        with pytest.raises(ValueError):
+            adm.AdmissibleData.from_json({"components": [{"d": 1, "s": s, "r": r}]})
+
+    def test_exact_parameter_forms_agree(self):
+        expected = adm.AdmissibleData.make([(1, Fraction(2), Fraction(2, 5))])
+        for s, r in [(2, "2/5"), ("2", "0.4"), (Fraction(2), Fraction(2, 5))]:
+            assert adm.AdmissibleData.make([(1, s, r)]) == expected
+
     @pytest.mark.parametrize("comps", [5, [5], [(1, 2)], [(1, [2], Fraction(1, 2))]])
     def test_malformed_components_rejected(self, comps):
         with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
 import contextlib
+import csv
 import io
 import json
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bott import cohomology as coh
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
 from bott.core import BottMatrix
@@ -75,19 +80,24 @@ class TestBasicCommands:
         assert w2["monomials"] == [[1], [2]]
 
     def test_class_payload_round_trip(self):
-        from bott import cohomology as coh
         A = BottMatrix.stage3(3, -1, 2)
         payload = run(["classes", "c", "--stage3", "3", "-1", "2"]).payload
         assert coh.class_from_json(A, payload) == coh.chern_total(A)
 
     def test_cohomology_payload_round_trip(self):
-        from bott import cohomology as coh
         A = BottMatrix.stage3(4, -7, 9)
         payload = run(["cohomology", "--stage3", "4", "-7", "9"]).payload
         R = coh.ring(A)
         for k in range(3):
             assert coh.class_from_json(A, payload["alpha"][k]) == R.alpha(k)
             assert coh.class_from_json(A, payload["y"][k]) == R.y(k)
+
+    def test_ring_commands_share_one_ring(self):
+        coh.ring.cache_clear()
+        for words in (["cohomology"], ["classes", "c"], ["classes", "p"], ["classes", "w2"]):
+            assert run([*words, "--stage3", "2", "-1", "3"]).exit_code == 0
+        info = coh.ring.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
 
 
 class TestAdmissibleCommands:
@@ -198,6 +208,23 @@ class TestScan:
         assert lines[0].startswith("a,b,c,")
         assert len(lines) == 28
 
+    def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "stage3_census.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--radius", "1"])
+        runpy.run_path(str(script), run_name="__main__")
+        text = capsys.readouterr().out
+        assert text.splitlines()[:2] == [
+            "a,b,c,twist,cotwist,toptwist,p1,q_type,reductive,fano,ke,diffeo_key",
+            "-1,-1,-1,2,2,2,3,-,False,False,NotKE,3|1|None"]
+        census = list(csv.DictReader(io.StringIO(text)))
+        scan = list(csv.DictReader(io.StringIO(run(["scan", "--radius", "1", "--csv"]).text)))
+        assert len(census) == len(scan) == 27
+        for row, scan_row in zip(census, scan):
+            for column, key in [("a", "a"), ("b", "b"), ("c", "c"), ("twist", "twist"),
+                                ("cotwist", "cotwist"), ("toptwist", "topological_twist"),
+                                ("p1", "p1"), ("reductive", "reductive"), ("fano", "fano")]:
+                assert row[column] == scan_row[key]
+
 
 class TestErrors:
     def test_domain_error_exit_1(self):
@@ -251,6 +278,8 @@ class TestErrors:
         '{"components": [{"d": true, "s": "2", "r": "2/5"}, {"d": 1, "s": "-2", "r": "-3/5"}]}',
         '{"components": 5}', '{"components": [5]}', '{"components": [{"d": 1, "s": "2"}]}',
         '{"components": [{"d": 1, "s": null, "r": "2/5"}]}',
+        '{"components": [{"d": 1, "s": 2, "r": 0.4}, {"d": 1, "s": -2, "r": -0.6}]}',
+        '{"components": [{"d": 1, "s": 2.0, "r": "2/5"}, {"d": 1, "s": -2, "r": "-3/5"}]}',
     ])
     def test_invalid_admissible_data(self, blob):
         err = io.StringIO()
@@ -289,3 +318,46 @@ class TestConfig:
         result = run(["--config", str(cfg), "orbit", "--stage3", "0", "0", "0",
                       "--stage-bound", "4"])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("text", [
+        '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
+        '{"orbit_stage_bound": "8"}', '{"positivity_depth": 2.7}',
+        '{"integrability_grid": 0}', '{"orbit_stage_bound": -3}',
+        '{"orbit_stage_bound": null}', '{"csc_tolerance": true}',
+        '{"csc_tolerance": "abc"}', '{"csc_tolerance": "0"}', '{"csc_tolerance": [1]}',
+        '[1, 2]', '"limits"', '{"orbit_stage_bound": ', '',
+    ])
+    def test_invalid_config_file(self, tmp_path, text):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text(text, encoding="utf-8")
+        self.assert_invalid_config(str(cfg))
+
+    def test_missing_config_file(self, tmp_path):
+        self.assert_invalid_config(str(tmp_path / "missing.json"))
+        self.assert_invalid_config(str(tmp_path))    # a directory
+
+    def test_invalid_config_from_environment(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"orbit_stage_bound": true}', encoding="utf-8")
+        monkeypatch.setenv("BOTT_CONFIG", str(cfg))
+        result = run(["orbit", "--stage3", "0", "0", "0"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+
+    def test_valid_config_values(self, tmp_path):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"root_stage_bound": 3, "csc_tolerance": "1e-6"}', encoding="utf-8")
+        assert run(["--config", str(cfg), "roots", "--stage3", "0", "1", "-1"]).exit_code == 0
+        result = run(["--config", str(cfg), "roots", "--matrix",
+                      json.dumps({"n": 4, "rows": BottMatrix.identity(4).rows})])
+        assert result.payload["error"] == "stage_too_large"
+
+    @staticmethod
+    def assert_invalid_config(path):
+        result = run(["--config", path, "orbit", "--stage3", "0", "0", "0"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--config", path, "orbit", "--stage3", "0", "0", "0"]) == 1
+        assert json.loads(err.getvalue())["error"] == "invalid_input"

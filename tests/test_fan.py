@@ -3,11 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bott import fan as bfan
 from bott.core import BottMatrix, StageTooLarge, equivalence_orbit
-from conftest import bott_matrices, fractions, stage3_roots_oracle, support_eval_oracle
+from conftest import (
+    bott_matrices,
+    demazure_roots_vertex_oracle,
+    fractions,
+    lower_triangular,
+    stage3_roots_oracle,
+    support_eval_oracle,
+)
 
 M3 = BottMatrix.stage3
 
@@ -219,14 +226,34 @@ class TestDemazureRoots:
             A = M3(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
             assert set(bfan.demazure_roots(A).roots) == stage3_roots_oracle(A)
 
-    def test_root_definition_holds(self):
-        A = M3(2, -3, 1)
-        fan = bfan.BottFan(A)
-        normals = [vec for _, _, vec in fan.rays()]
-        for chi in bfan.demazure_roots(A).roots:
+    @staticmethod
+    def assert_root_definition(A):
+        normals = [vec for _, _, vec in bfan.BottFan(A).rays()]
+        roots = bfan.demazure_roots(A).roots
+        for chi in roots:
             values = [sum(u * v for u, v in zip(n, chi)) for n in normals]
             assert values.count(1) == 1
             assert all(v <= 0 for v in values if v != 1)
+        return roots
+
+    def test_root_definition_holds(self):
+        self.assert_root_definition(M3(2, -3, 1))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_root_definition_high_stage(self, n):
+        rng = random.Random(70 + n)
+        for _ in range(10):
+            A = lower_triangular(n, [rng.randint(-3, 3) for _ in range(n * (n - 1) // 2)])
+            roots = self.assert_root_definition(A)
+            # +-eps_0 pair to +-1 with v_0, u_0 and to 0 with every later ray
+            assert {(1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)} <= roots
+
+    @given(bott_matrices(min_stage=1, max_stage=5, max_entry=3))
+    @example(lower_triangular(6, [2, -1, 3, 1, -2, 3, -3, 1, 2, -1, 1, -2, 3, -1, 2]))
+    @example(lower_triangular(6, [0, -2, 0, 0, 0, 3, 0, 0, 0, 0, -1, 0, 0, 0, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_against_vertex_oracle(self, A):
+        assert bfan.demazure_roots(A).roots == demazure_roots_vertex_oracle(A)
 
 
 class TestReductivity:

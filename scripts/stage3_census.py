@@ -24,6 +24,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--radius", type=int, default=2)
     args = parser.parse_args()
+    if args.radius < 0:
+        parser.error("--radius must be a nonnegative integer")
 
     out = sys.stdout
     out.write(",".join(HEADER) + "\n")

@@ -25,8 +25,8 @@ from typing import Iterator, Sequence
 from .polynomials import (
     ONE,
     Poly,
+    SingularSystem,  # re-exported: the CLI maps it to singular_system
     count_roots_open,
-    definite_integral,
     degree,
     lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
     pdiv_exact,
@@ -41,11 +41,8 @@ from .polynomials import (
     psub,
     padd,
     roots_in_interval,
+    solve_linear,
 )
-
-
-class SingularSystem(ArithmeticError):
-    """Endpoint system degenerate (cannot happen for valid data)."""
 
 
 class PoleHit(ZeroDivisionError):
@@ -152,23 +149,6 @@ def _curvature_source(data: AdmissibleData) -> Poly:
     return out
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularSystem("endpoint system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
     """The unique F with affine scalar curvature and the endpoint conditions.
 
@@ -194,7 +174,7 @@ def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
         -peval(g2d, 1) - 2 * peval(pc, 1),
         -peval(g2d, -1) + 2 * peval(pc, -1),
     ]
-    a1, a3, c1, c0 = _solve_linear(rows, rhs)
+    a1, a3, c1, c0 = solve_linear(rows, rhs)
     F = padd(psub(g2, padd(pscale(p1, a1), pscale(p0, a3))), poly([c0, c1]))
     return ExtremalProfile(F, a1, a3)
 
@@ -265,32 +245,16 @@ def _tolerance(tolerance) -> Fraction:
     return tol
 
 
-def _csc_condition_raw(m: int, rp: Fraction, rm: Fraction) -> Fraction:
-    plus = poly([1, rp])
-    minus = poly([1, rm])
-    P = pmul(ppow(plus, m), ppow(minus, m))
-    Pm1 = pmul(ppow(plus, m - 1), ppow(minus, m - 1))
-    z = poly([0, 1])
-    alpha0 = definite_integral(P, -1, 1)
-    alpha1 = definite_integral(pmul(z, P), -1, 1)
-    boundary_sum = peval(P, 1) + peval(P, -1)
-    boundary_diff = peval(P, 1) - peval(P, -1)
-    beta0 = boundary_sum + 2 * m * (rp - rm) * definite_integral(Pm1, -1, 1)
-    beta1 = boundary_diff + 2 * m * (rp - rm) * definite_integral(pmul(z, Pm1), -1, 1)
-    return alpha0 * beta1 - alpha1 * beta0
-
-
 def csc_condition(m: int, r_plus, r_minus) -> Fraction:
     """Exact CSC obstruction for the balanced 2m-fold base.
 
     Vanishes precisely when the class with m parameters r_plus and m
     parameters r_minus carries a CSC representative.
     """
-    rp = _csc_args(m, r_plus)
     rm = Fraction(r_minus)
     if not -1 < rm < 0:
         raise ValueError("r_minus must lie in (-1, 0)")
-    return _csc_condition_raw(m, rp, rm)
+    return peval(csc_condition_polynomial(m, r_plus), rm)
 
 
 def _moment(n: int, rp: Fraction, k: int) -> Poly:
@@ -313,7 +277,7 @@ def csc_condition_polynomial(m: int, r_plus) -> Poly:
     P(1) + P(-1) and P(1) - P(-1), each plus 2m (r_plus - r_minus) times
     the integral of z^k Q.  Each term is expanded in r_minus with binomial
     coefficients (see _moment), so the result is exact by construction, has
-    degree at most 2m and agrees with csc_condition at every r_minus.  The
+    degree at most 2m, and csc_condition evaluates it at r_minus.  The
     balanced family r_minus = -r_plus is always a root; the expansion is
     checked against it and raises ArithmeticError if it misses.
     """

@@ -40,7 +40,6 @@ DOMAIN_ERRORS = {
     adm.SingularParameters: "singular_parameters",
     adm.SingularSystem: "singular_system",
     ak.Inconclusive: "inconclusive",
-    ak.SingularSample: "singular_sample",
 }
 
 
@@ -213,11 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p0", type=_frac)
     p.add_argument("p1", type=int)
     p.add_argument("p2", type=int)
-    p.add_argument("--grid", type=int, default=None)
 
     p = sub.add_parser("scan", help="stage-3 box scan of invariants")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--props", default="twist,cotwist,reductive,fano,p1,qtrivial,toptwist")
     p.add_argument("--csv", action="store_true")
 
     return parser
@@ -311,12 +308,11 @@ def _payload_for(args, limits: Limits):
     if cmd == "ak-solve":
         data = ak.SquareFiberData.make(args.p0, args.p1, args.p2)
         sol = ak.solve_ak(data)
-        grid = _given(args.grid, limits.integrability_grid)
         return {
             "solution": sol.to_json(),
             "determinant": str(ak.system_determinant(data)),
             "positive": ak.check_positivity(data, sol, limits.positivity_depth),
-            "integrable": ak.check_integrability(data, sol, ak.default_grid(grid)),
+            "integrable": ak.check_integrability(data, sol),
         }
 
     if cmd == "scan":
@@ -338,7 +334,10 @@ def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
     These are the rows of `bott scan`.  census=True adds the q-trivial
     type ("-" when not rationally trivial), the Kahler-Einstein status and
     the diffeomorphism key, which scripts/stage3_census.py prints as well.
+    A negative radius raises ValueError.
     """
+    if radius < 0:
+        raise ValueError("radius must be a nonnegative integer")
     for a, b, c in itertools.product(range(-radius, radius + 1), repeat=3):
         A = BottMatrix.stage3(a, b, c)
         inv = t3.stage3_invariants(a, b, c)

@@ -2,20 +2,20 @@
 
 The config path is taken from the BOTT_CONFIG environment variable (or
 passed explicitly); individual CLI flags override file values.  A file
-that cannot be read or parsed, or that holds a value of the wrong type,
-raises OSError or ValueError; the CLI answers either with invalid_input.
+that cannot be read or parsed, that holds a key other than the fields of
+Limits, or that holds a value of the wrong type, raises OSError or
+ValueError; the CLI answers either with invalid_input.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 ENV_VAR = "BOTT_CONFIG"
-INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth",
-              "integrability_grid")
+INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth")
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,6 @@ class Limits:
     orbit_stage_bound: int = 8
     root_stage_bound: int = 8
     positivity_depth: int = 20
-    integrability_grid: int = 5
     csc_tolerance: Fraction = Fraction(1, 10 ** 12)
 
 
@@ -37,6 +36,9 @@ def load_limits(path: str | None = None) -> Limits:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("the config file must hold a JSON object")
+    unknown = sorted(raw.keys() - {f.name for f in fields(Limits)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     updates = {}
     for field in INT_FIELDS:
         if field in raw:

@@ -18,6 +18,10 @@ sum of c_i p^i q^(d - i), so no Fraction arithmetic happens per
 evaluation.  Multiple roots are reported once; exact rational roots come
 back exactly, others within the requested tolerance.
 
+solve_linear is the package's one exact linear solver: Gauss-Jordan
+elimination over Fractions for the small square systems of the
+admissible and square-fiber solvers.
+
 Poly2 is a thin bivariate companion (dict of (i, j) -> Fraction) with
 just the operations the square-fiber solver needs: ring arithmetic,
 partial derivatives, substitution and interval bounds over a box with
@@ -395,6 +399,32 @@ def to_strings(p: Poly) -> list[str]:
 
 def from_strings(coeffs: Sequence[str]) -> Poly:
     return poly(Fraction(c) for c in coeffs)
+
+
+class SingularSystem(ArithmeticError):
+    """A square linear system without a unique solution."""
+
+
+def solve_linear(rows: Sequence[Sequence[Fraction]],
+                 rhs: Sequence[Fraction]) -> list[Fraction]:
+    """The unique x with rows x = rhs, by exact Gauss-Jordan elimination.
+
+    Raises SingularSystem when the matrix is singular.
+    """
+    n = len(rows)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise SingularSystem("linear system is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [e / pv for e in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
 
 
 class Poly2:

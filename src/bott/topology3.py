@@ -87,19 +87,24 @@ def twist1_diffeomorphic(k: Sequence[int], k2: Sequence[int]) -> bool:
     """Diffeomorphism of the twist-one towers over (CP^1)^N.
 
     Holds iff some permutation matches the entries mod 2 and all the
-    pairwise products up to sign.
+    pairwise products up to sign.  Such a permutation exists iff:
+
+    - with three or more nonzero entries on either side, the multisets of
+      |k_i| agree (the products |k_i k_j|, |k_i k_l|, |k_j k_l| of three
+      nonzero entries fix |k_i|, and zeros must go to zeros);
+    - else, with two nonzero entries on either side, both sides have two,
+      their products agree up to sign and the multisets of k_i mod 2 agree;
+    - else every product vanishes and the multisets of k_i mod 2 agree.
     """
     if len(k) != len(k2):
         raise ValueError("vectors must have equal length")
-    n = len(k)
-    for sigma in itertools.permutations(range(n)):
-        img = [k2[sigma[i]] for i in range(n)]
-        if any((img[i] - k[i]) % 2 for i in range(n)):
-            continue
-        if all(abs(img[i] * img[j]) == abs(k[i] * k[j])
-               for i in range(n) for j in range(i + 1, n)):
-            return True
-    return False
+    nz, nz2 = [x for x in k if x], [x for x in k2 if x]
+    if max(len(nz), len(nz2)) >= 3:
+        return sorted(map(abs, k)) == sorted(map(abs, k2))
+    if max(len(nz), len(nz2)) == 2:
+        if len(nz) != len(nz2) or abs(nz[0] * nz[1]) != abs(nz2[0] * nz2[1]):
+            return False
+    return sorted(x % 2 for x in k) == sorted(x % 2 for x in k2)
 
 
 def _sign_class_count(k: Sequence[int]) -> int:

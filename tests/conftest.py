@@ -5,10 +5,12 @@ functions are evaluated by scanning all maximal cones, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, the square-fiber linear system is
-re-derived from the extremal equation itself, real roots are isolated
-with Sturm chains over Fraction coefficients (Euclidean gcd, rebuilt on
-every call), and the CSC obstruction polynomial is interpolated from
-pointwise evaluations.
+re-derived from the extremal equation itself, integrability is sampled
+on a grid of rational points, real roots are isolated with Sturm chains
+over Fraction coefficients (Euclidean gcd, rebuilt on every call), the
+CSC obstruction is evaluated from its defining integrals and its
+polynomial interpolated from those values, and twist-one
+diffeomorphism is decided by trying every permutation.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from bott import admissible as adm
+from bott import almostkahler as ak
 
 from bott.core import (
     BottMatrix,
@@ -30,13 +32,17 @@ from bott.core import (
 from bott.fan import BottFan, SupportFunction
 from bott.polynomials import (
     Poly,
+    definite_integral,
     degree,
     lagrange_interpolate,
     pdiv_exact,
     pdivmod,
     pderiv,
     peval,
+    pmul,
     pneg,
+    poly,
+    ppow,
     pscale,
 )
 
@@ -459,7 +465,28 @@ def roots_in_interval_oracle(p: Poly, a, b, tol) -> list[Fraction]:
     return [refine_root_oracle(p, lo, hi, tol) for lo, hi in isolate_roots_oracle(p, a, b)]
 
 
-# -- the CSC obstruction by interpolation --------------------------------------
+# -- the CSC obstruction from its integrals -------------------------------------
+
+def csc_condition_raw_oracle(m: int, rp: Fraction, rm: Fraction) -> Fraction:
+    """alpha0 beta1 - alpha1 beta0 from the integrals over [-1, 1] themselves.
+
+    P = (1 + rp z)^m (1 + rm z)^m and Q the same with m - 1 are multiplied
+    out and integrated, with no binomial expansion in rm; the arguments
+    are not range-checked.
+    """
+    plus = poly([1, rp])
+    minus = poly([1, rm])
+    P = pmul(ppow(plus, m), ppow(minus, m))
+    Pm1 = pmul(ppow(plus, m - 1), ppow(minus, m - 1))
+    z = poly([0, 1])
+    alpha0 = definite_integral(P, -1, 1)
+    alpha1 = definite_integral(pmul(z, P), -1, 1)
+    boundary_sum = peval(P, 1) + peval(P, -1)
+    boundary_diff = peval(P, 1) - peval(P, -1)
+    beta0 = boundary_sum + 2 * m * (rp - rm) * definite_integral(Pm1, -1, 1)
+    beta1 = boundary_diff + 2 * m * (rp - rm) * definite_integral(pmul(z, Pm1), -1, 1)
+    return alpha0 * beta1 - alpha1 * beta0
+
 
 def csc_condition_polynomial_oracle(m: int, r_plus) -> Poly:
     """The obstruction through 2m + 3 pointwise evaluations in r_minus.
@@ -468,14 +495,64 @@ def csc_condition_polynomial_oracle(m: int, r_plus) -> Poly:
     recovers it exactly; two off-grid probes confirm that.
     """
     rp = Fraction(r_plus)
-    points = [(Fraction(i), adm._csc_condition_raw(m, rp, Fraction(i)))
+    points = [(Fraction(i), csc_condition_raw_oracle(m, rp, Fraction(i)))
               for i in range(2 * m + 3)]
     g = lagrange_interpolate(points)
     for probe in (Fraction(-3), Fraction(5, 2)):
-        assert peval(g, probe) == adm._csc_condition_raw(m, rp, probe)
+        assert peval(g, probe) == csc_condition_raw_oracle(m, rp, probe)
     return g
 
 
 def csc_family_solve_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
     g = csc_condition_polynomial_oracle(m, r_plus)
     return roots_in_interval_oracle(g, Fraction(-1), Fraction(0), tolerance)
+
+
+# -- integrability on a sample grid ---------------------------------------------
+
+def check_integrability_grid_oracle(data, sol, samples=None) -> bool:
+    """The two integrability identities evaluated at rational sample points.
+
+    The default samples are almostkahler.default_grid(), the 5 x 5 interior
+    grid.  One failing point proves non-integrability; passing at every
+    point is only evidence.  Raises ZeroDivisionError at a sample where
+    det P or Q vanishes.
+    """
+    if samples is None:
+        samples = ak.default_grid()
+    p11, p12, p22 = ak.assemble_p(data, sol)
+    q = data.q_poly()
+    det_p = p11 * p22 - p12 * p12
+
+    def side(num, var, z1, z2):
+        # d(num / det)/d(var) at the point, as a Fraction
+        d = det_p.eval(z1, z2)
+        return (num.diff(var).eval(z1, z2) * d - num.eval(z1, z2)
+                * det_p.diff(var).eval(z1, z2)) / (d * d)
+
+    h11, h12, h22 = q * p22, -(q * p12), q * p11
+    for z1, z2 in samples:
+        z1, z2 = Fraction(z1), Fraction(z2)
+        if det_p.eval(z1, z2) == 0 or q.eval(z1, z2) == 0:
+            raise ZeroDivisionError(f"metric degenerates at ({z1}, {z2})")
+        if side(h11, 1, z1, z2) != side(h12, 0, z1, z2):
+            return False
+        if side(h22, 0, z1, z2) != side(h12, 1, z1, z2):
+            return False
+    return True
+
+
+# -- twist-one diffeomorphism by permutation scan -------------------------------
+
+def twist1_diffeomorphic_scan_oracle(k: Sequence[int], k2: Sequence[int]) -> bool:
+    """Try all N! permutations for one matching the entries mod 2 and every
+    pairwise product up to sign."""
+    n = len(k)
+    for sigma in itertools.permutations(range(n)):
+        img = [k2[sigma[i]] for i in range(n)]
+        if any((img[i] - k[i]) % 2 for i in range(n)):
+            continue
+        if all(abs(img[i] * img[j]) == abs(k[i] * k[j])
+               for i in range(n) for j in range(i + 1, n)):
+            return True
+    return False

@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 from bott import admissible as adm
 from bott.polynomials import ONE, degree, padd, pderiv, peval, pmul, poly, pscale, psub
-from conftest import csc_condition_polynomial_oracle, csc_family_solve_oracle
+from conftest import (
+    csc_condition_polynomial_oracle,
+    csc_condition_raw_oracle,
+    csc_family_solve_oracle,
+)
 
 TOL = Fraction(1, 10 ** 12)
 SMALL_RPLUS = sorted({Fraction(p, q) for q in range(2, 11) for p in range(1, q)})
@@ -210,6 +214,15 @@ class TestCscCondition:
     def test_m1_second_family(self):
         assert adm.csc_condition(1, Fraction(2, 5), Fraction(-3, 5)) == 0
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_integral_oracle(self, m):
+        rng = random.Random(200 + m)
+        for _ in range(15):
+            den = rng.choice([7, 13, 100])
+            rp = Fraction(rng.randint(1, den - 1), den)
+            rm = -Fraction(rng.randint(1, 96), 97)
+            assert adm.csc_condition(m, rp, rm) == csc_condition_raw_oracle(m, rp, rm)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             adm.csc_condition(1, Fraction(3, 2), Fraction(-1, 2))
@@ -308,8 +321,8 @@ class TestCscFamilySolve:
     def test_roots_within_tolerance(self):
         tol = Fraction(1, 10 ** 9)
         for root in adm.csc_family_solve(3, Fraction(4, 5), tol):
-            lo = adm._csc_condition_raw(3, Fraction(4, 5), root - tol)
-            hi = adm._csc_condition_raw(3, Fraction(4, 5), root + tol)
+            lo = csc_condition_raw_oracle(3, Fraction(4, 5), root - tol)
+            hi = csc_condition_raw_oracle(3, Fraction(4, 5), root + tol)
             assert lo == 0 or hi == 0 or lo * hi < 0
 
 

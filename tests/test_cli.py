@@ -50,6 +50,13 @@ class TestBasicCommands:
                       "--kprime", "-1", "-2", "3"])
         assert result.payload is True
 
+    def test_twist1_diffeo_eleven_factors(self):
+        # 11! permutations: answered in closed form, not by a scan
+        k = [str(i) for i in range(1, 12)]
+        assert run(["twist1-diffeo", "--k", *k, "--kprime", *k[::-1]]).payload is True
+        changed = k[::-1][:-1] + ["13"]
+        assert run(["twist1-diffeo", "--k", *k, "--kprime", *changed]).payload is False
+
     def test_orbit(self):
         payload = run(["orbit", "--stage3", "1", "2", "3"]).payload
         assert len(payload["representatives"]) == 4
@@ -208,6 +215,18 @@ class TestScan:
         assert lines[0].startswith("a,b,c,")
         assert len(lines) == 28
 
+    def test_props_flag_removed(self):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["scan", "--radius", "1", "--props", "twist", "--csv"]) == 2
+
+    def test_negative_radius_rejected(self):
+        result = run(["scan", "--radius", "-1"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+        assert run(["scan", "--radius", "0"]).payload[0] == {
+            "a": 0, "b": 0, "c": 0, "twist": 0, "cotwist": 0, "reductive": True,
+            "fano": True, "p1": 0, "q_trivial": True, "topological_twist": 0}
+
     def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "stage3_census.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--radius", "1"])
@@ -268,10 +287,10 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.payload["error"] == "stage_too_large"
 
-    def test_zero_grid_rejected(self):
-        result = run(["ak-solve", "1", "2", "2", "--grid", "0"])
-        assert result.exit_code == 1
-        assert result.payload["error"] == "invalid_input"
+    def test_grid_flag_removed(self):
+        # integrability is decided exactly, with no sample grid to size
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["ak-solve", "1", "2", "2", "--grid", "5"]) == 2
 
     @pytest.mark.parametrize("blob", [
         '{"components": [{"d": 1.5, "s": "2", "r": "2/5"}, {"d": 1, "s": "-2", "r": "-3/5"}]}',
@@ -322,7 +341,7 @@ class TestConfig:
     @pytest.mark.parametrize("text", [
         '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
         '{"orbit_stage_bound": "8"}', '{"positivity_depth": 2.7}',
-        '{"integrability_grid": 0}', '{"orbit_stage_bound": -3}',
+        '{"integrability_grid": 0}', '{"orbit_stage_bnd": 2}', '{"orbit_stage_bound": -3}',
         '{"orbit_stage_bound": null}', '{"csc_tolerance": true}',
         '{"csc_tolerance": "abc"}', '{"csc_tolerance": "0"}', '{"csc_tolerance": [1]}',
         '[1, 2]', '"limits"', '{"orbit_stage_bound": ', '',

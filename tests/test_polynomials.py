@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from bott import polynomials
 from bott.polynomials import (
     Poly2,
+    SingularSystem,
     count_roots_open,
     definite_integral,
     degree,
@@ -23,6 +24,7 @@ from bott.polynomials import (
     pscale,
     psub,
     roots_in_interval,
+    solve_linear,
     squarefree_part,
 )
 from conftest import (
@@ -237,3 +239,28 @@ class TestPoly2:
     def test_negative_box_rejected(self):
         with pytest.raises(ValueError):
             Poly2.var(0).bounds_on_box(-1, 0, 0, 1)
+
+
+class TestSolveLinear:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(small_fracs, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(small_fracs, min_size=n, max_size=n))))
+    def test_solution_satisfies_system(self, system):
+        rows, x = system
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        try:
+            solution = solve_linear(rows, rhs)
+        except SingularSystem:
+            return
+        assert [sum(a * b for a, b in zip(row, solution)) for row in rows] == rhs
+
+    def test_unique_solution(self):
+        rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+        assert solve_linear(rows, [Fraction(4), Fraction(5)]) == [1, 2]
+
+    def test_singular_system_raises(self):
+        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        with pytest.raises(SingularSystem):
+            solve_linear(rows, [Fraction(1), Fraction(2)])
+        with pytest.raises(ArithmeticError):
+            solve_linear([[Fraction(0)]], [Fraction(0)])

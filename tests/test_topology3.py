@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from bott import topology3 as t3
 from bott.core import BottMatrix, equivalence_orbit
 
+from conftest import twist1_diffeomorphic_scan_oracle
+
 triple = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 
 
@@ -95,6 +97,30 @@ class TestTwistOneDiffeomorphism:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             t3.twist1_diffeomorphic((1, 2), (1, 2, 3))
+
+    @pytest.mark.parametrize("k, k2, expected", [
+        ((2, 3, 0), (1, 0, 6), True),      # two nonzero entries: only |product| and parity
+        ((3, 4), (2, 6), False),           # equal products, different parities
+        ((2, 0, 0), (0, 4, 0), True),      # one nonzero entry: parity only
+        ((1, 0), (2, 0), False),
+        ((1, 2, 3), (1, 2, 0), False),     # three nonzero entries against two
+        ((0, 0, 0), (0, 2, 0), True),
+    ])
+    def test_few_nonzero_entries(self, k, k2, expected):
+        assert t3.twist1_diffeomorphic(k, k2) is expected
+        assert twist1_diffeomorphic_scan_oracle(k, k2) is expected
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=n, max_size=n),
+        st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n),
+        st.booleans())))
+    def test_matches_permutation_scan(self, case):
+        k, other, sigma, signs, related = case
+        # half the cases compare k with a signed permutation of itself
+        k2 = [signs[i] * k[sigma[i]] for i in range(len(k))] if related else other
+        assert t3.twist1_diffeomorphic(k, k2) == twist1_diffeomorphic_scan_oracle(k, k2)
 
 
 class TestTwistOneCount:

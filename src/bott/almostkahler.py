@@ -24,6 +24,7 @@ metrics are genuinely almost Kahler).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,26 +135,41 @@ def _certify_sign(poly: Poly2, depth: int) -> bool:
     Dyadic subdivision with exact interval bounds; a nonpositive exact
     value at an interior rational point decides negatively.  Raises
     Inconclusive at the depth cap (touching zeros cannot be separated).
+
+    The work is in integers.  With the coefficients scaled by their
+    common denominator L to integers C and total degree D, the box
+    (a, b, d) = [a, a+1] x [b, b+1] / 2^d has lower bound, times the
+    positive L 2^(dD), sum C a^i b^j 2^(d(D-i-j)) with a + 1 and b + 1
+    in place of a and b where C < 0; the same homogenized sum at
+    (2a+1, 2b+1, 2^(d+1)) is the sign of the value at the box centre.
+    Boxes are visited depth first, children in the order
+    (2a, 2b), (2a+1, 2b), (2a, 2b+1), (2a+1, 2b+1).
     """
-    center = poly.eval(Fraction(1, 2), Fraction(1, 2))
-    if center <= 0:
+    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    top = max((i + j for i, j in poly.coeffs), default=0)
+    terms = [(c.numerator * (scale // c.denominator), i, j, top - i - j)
+             for (i, j), c in poly.coeffs.items()]
+    positive = [t for t in terms if t[0] > 0]
+    negative = [t for t in terms if t[0] < 0]
+
+    def homogeneous(part, x: int, y: int, w: int) -> int:
+        return sum(c * x ** i * y ** j * w ** k for c, i, j, k in part)
+
+    if homogeneous(terms, 1, 1, 2) <= 0:
         return False
-    one = Fraction(1)
-    boxes = [(Fraction(0), one, Fraction(0), one, 0)]
+    boxes = [(0, 0, 0)]
     while boxes:
-        x0, x1, y0, y1, d = boxes.pop()
-        lo, hi = poly.bounds_on_box(x0, x1, y0, y1)
-        if lo > 0:
+        a, b, d = boxes.pop()
+        w = 1 << d
+        if homogeneous(positive, a, b, w) + homogeneous(negative, a + 1, b + 1, w) > 0:
             continue
-        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-        if poly.eval(mx, my) <= 0:
+        a, b = 2 * a, 2 * b
+        if homogeneous(terms, a + 1, b + 1, 2 * w) <= 0:
             return False
         if d >= depth:
             raise Inconclusive("sign not certified within the refinement cap")
-        boxes.extend([
-            (x0, mx, y0, my, d + 1), (mx, x1, y0, my, d + 1),
-            (x0, mx, my, y1, d + 1), (mx, x1, my, y1, d + 1),
-        ])
+        d += 1
+        boxes.extend([(a, b, d), (a + 1, b, d), (a, b + 1, d), (a + 1, b + 1, d)])
     return True
 
 

@@ -10,6 +10,7 @@ as decimal strings, so no precision is lost in transit.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -220,6 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `run`, built on first use and then reused.
+
+    Building it costs about as much as a cheap command, and parse_args
+    leaves it unchanged (every call fills a new namespace).  It is not
+    built at import time, so importing the module stays cheap.
+    """
+    return build_parser()
+
+
 def _payload_for(args, limits: Limits):
     cmd = args.command
 
@@ -316,6 +328,9 @@ def _payload_for(args, limits: Limits):
         }
 
     if cmd == "scan":
+        if args.radius > limits.scan_radius_bound:
+            raise StageTooLarge(f"radius {args.radius} exceeds bound "
+                                f"{limits.scan_radius_bound}")
         return list(stage3_rows(args.radius))
 
     raise ValueError(f"unhandled command {cmd}")
@@ -402,8 +417,7 @@ def _cproj_result(args, limits: Limits) -> CommandResult:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
     try:

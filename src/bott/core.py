@@ -26,12 +26,18 @@ when sigma lists s before t whenever W_F[s][t] != 0: sigma is a linear
 extension of that DAG.  The orbit is thus enumerated per distinct W_F by
 listing the linear extensions of its DAG.
 
+The generator moves act on these pairs directly.  Inverting the fiber
+of stage k of the image of (F, sigma) gives the image of
+(F xor {sigma[k]}, sigma), and conjugating it by the transposition of
+stages a and b gives the image of (F, sigma with positions a and b
+swapped), so the edges of the orbit are found without building any
+matrix.
+
 All indices in this module are 0-based.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -209,11 +215,23 @@ def _flip_solve(rows: Rows, flipped: Sequence[bool]) -> Rows:
     return tuple(W)
 
 
-def _linear_extension_images(W: Rows) -> Iterator[Rows]:
-    """Images W[sigma[l]][sigma[j]] over the linear extensions sigma of W.
+def _flip_classes(A: BottMatrix) -> tuple[list[int], dict[Rows, int]]:
+    """W_F for every flip set F, as a bitmask with bit s set when stage s
+    is flipped: for each F the first flip set with the same W_F, and that
+    first flip set of each distinct W_F."""
+    n = A.n
+    first: dict[Rows, int] = {}
+    canonical = [first.setdefault(_flip_solve(A.rows, [F >> s & 1 for s in range(n)]), F)
+                 for F in range(1 << n)]
+    return canonical, first
 
-    Row j of an image only reads the stages placed before it, so rows
-    are built as sigma grows.
+
+def _linear_extension_images(W: Rows) -> Iterator[tuple[int, Rows]]:
+    """(code, image) over the linear extensions sigma of W.
+
+    The image is W[sigma[l]][sigma[j]] and the code is
+    sum_j sigma[j] n^j.  Row j of an image only reads the stages placed
+    before it, so rows are built as sigma grows.
     """
     n = len(W)
     before = [0] * n          # bitmask of the stages that must precede t
@@ -222,25 +240,27 @@ def _linear_extension_images(W: Rows) -> Iterator[Rows]:
             if W[s][t]:
                 before[t] |= 1 << s
     tails = [(1,) + (0,) * (n - j - 1) for j in range(n)]
+    powers = [n ** j for j in range(n)]
     full = (1 << n) - 1
     order: list[int] = []
     rows: list[tuple[int, ...]] = []
 
-    def extend(placed: int) -> Iterator[Rows]:
+    def extend(placed: int, code: int) -> Iterator[tuple[int, Rows]]:
         if placed == full:
-            yield tuple(rows)
+            yield code, tuple(rows)
             return
-        tail = tails[len(order)]
+        j = len(order)
+        tail = tails[j]
         for t in range(n):
             bit = 1 << t
             if not placed & bit and not before[t] & ~placed:
-                rows.append(tuple(W[s][t] for s in order) + tail)
+                rows.append(tuple([W[s][t] for s in order]) + tail)
                 order.append(t)
-                yield from extend(placed | bit)
+                yield from extend(placed | bit, code + t * powers[j])
                 order.pop()
                 rows.pop()
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def _orbit_images(A: BottMatrix) -> Iterator[Rows]:
@@ -248,12 +268,9 @@ def _orbit_images(A: BottMatrix) -> Iterator[Rows]:
 
     Flip sets with equal W_F give equal images, so each W_F is expanded once.
     """
-    seen: set[Rows] = set()
-    for flipped in itertools.product((False, True), repeat=A.n):
-        W = _flip_solve(A.rows, flipped)
-        if W not in seen:
-            seen.add(W)
-            yield from _linear_extension_images(W)
+    for W in _flip_classes(A)[1]:
+        for _, rows in _linear_extension_images(W):
+            yield rows
 
 
 def apply_signed_permutation(A: BottMatrix, sigma: Sequence[int],
@@ -342,23 +359,42 @@ def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> 
     Members are the images over each distinct W_F and each linear
     extension of its DAG (see the module docstring), which is exactly
     the set of applicable signed-permutation images.  Edges are the
-    fiber inversions and applicable transpositions of each member.
+    fiber inversions and applicable transpositions of each member, read
+    off one pair (F, sigma) that gives it (see the module docstring).
     """
     n = A.n
     _check_stage_bound(n, stage_bound)
-    reps = tuple(sorted(BottMatrix(rows) for rows in set(_orbit_images(A))))
-    index = {B.rows: i for i, B in enumerate(reps)}
+    canonical, first = _flip_classes(A)
+    # the image of (F, sigma) under the key F n^n + code(sigma), one F per W_F
+    width = n ** n
+    distinct: dict[Rows, Rows] = {}
+    images = {F * width + code: distinct.setdefault(rows, rows)
+              for W, F in first.items() for code, rows in _linear_extension_images(W)}
+    members = sorted(distinct)
+    index = {rows: i for i, rows in enumerate(members)}
+    member_at = {key: index[rows] for key, rows in images.items()}
+    source: dict[int, int] = {}
+    for key, i in member_at.items():
+        source.setdefault(i, key)
+    powers = [n ** j for j in range(n)]
     inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
-    swaps = [(_inversions(sigma), EquivalenceMove("permutation_conjugation", permutation=sigma))
-             for sigma in (transposition(n, a, b) for a in range(n) for b in range(a + 1, n))]
+    # swapping positions a and b of sigma adds (sigma[b] - sigma[a]) (n^a - n^b) to its code
+    swaps = [(a, b, powers[a] - powers[b], _inversions(sigma),
+              EquivalenceMove("permutation_conjugation", permutation=sigma))
+             for a in range(n) for b in range(a + 1, n) for sigma in [transposition(n, a, b)]]
     edges = []
-    for i, B in enumerate(reps):
+    for i, rows in enumerate(members):
+        key = source[i]
+        F, code = divmod(key, width)
+        sigma = [code // power % n for power in powers]
         for k, move in enumerate(inversions):
-            edges.append(OrbitEdge(i, index[_fiber_inversion_rows(B.rows, k)], move))
-        support = _support(B.rows)
-        for inverted, move in swaps:
+            target = canonical[F ^ 1 << sigma[k]] * width + code
+            edges.append(OrbitEdge(i, member_at[target], move))
+        support = _support(rows)
+        for a, b, shift, inverted, move in swaps:
             if not support & inverted:
-                edges.append(OrbitEdge(i, index[_permuted(B.rows, move.permutation)], move))
+                edges.append(OrbitEdge(i, member_at[key + (sigma[b] - sigma[a]) * shift], move))
+    reps = tuple(map(BottMatrix, members))
     return OrbitReport(reps, reps[0], tuple(edges))
 
 

@@ -143,27 +143,43 @@ def kahler_cone(A: BottMatrix, basis_choice: str) -> tuple[list[ConeInequality],
         raise ValueError("basis choice must be a string of 'u'/'v' of length n")
     if basis_choice[0] != "u":
         raise ValueError("the first basis divisor is fixed to be D_{u_1}")
+    return _cone_in_basis(_pair_coordinates(A), basis_choice)
+
+
+def _pair_coordinates(A: BottMatrix) -> list[list[tuple[str, int, Fraction]]]:
+    """The terms (kind, m, -c) of cone_coordinates(u_j + v_j), for each j.
+
+    They do not depend on the basis choice.  Every m is later than j,
+    because u_j + v_j vanishes at the stages up to j.
+    """
     fan = BottFan(A)
+    return [[(kind, m, -c) for kind, m, c in fan.cone_coordinates(fan.opposite_pair_sum(j))]
+            for j in range(A.n)]
+
+
+def _cone_in_basis(pairs: list[list[tuple[str, int, Fraction]]],
+                   basis_choice: str) -> tuple[list[ConeInequality], bool]:
+    """Row j is e_j minus the coordinates of u_j + v_j on the basis divisors."""
+    n = len(pairs)
+    zero, one = Fraction(0), Fraction(1)
     inequalities = []
     first_orthant = True
-    for j in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[j] = Fraction(1)
-        for kind, m, c in fan.cone_coordinates(fan.opposite_pair_sum(j)):
+    for j, terms in enumerate(pairs):
+        coeffs = [zero] * n
+        coeffs[j] = one
+        for kind, m, negated in terms:
             if basis_choice[m] == kind:
-                coeffs[m] -= c
+                coeffs[m] = negated
                 first_orthant = False
-        inequalities.append(ConeInequality(tuple(coeffs), Fraction(0)))
+        inequalities.append(ConeInequality(tuple(coeffs), zero))
     return inequalities, first_orthant
 
 
 def kahler_cone_scan(A: BottMatrix) -> dict[str, tuple[list[ConeInequality], bool]]:
     """Inequalities for each of the 2^(n-1) distinct generator bases."""
-    out = {}
-    for tail in itertools.product("uv", repeat=A.n - 1):
-        choice = "u" + "".join(tail)
-        out[choice] = kahler_cone(A, choice)
-    return out
+    pairs = _pair_coordinates(A)
+    choices = ("u" + "".join(tail) for tail in itertools.product("uv", repeat=A.n - 1))
+    return {choice: _cone_in_basis(pairs, choice) for choice in choices}
 
 
 def ample_cone_is_first_orthant(A: BottMatrix) -> bool:

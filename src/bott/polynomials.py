@@ -519,25 +519,6 @@ class Poly2:
             out[i] = out.get(i, Fraction(0)) + c * y ** j
         return poly(out.get(i, Fraction(0)) for i in range(max(out, default=-1) + 1))
 
-    def bounds_on_box(self, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
-        """Interval enclosure of the range over [x0,x1] x [y0,y1].
-
-        Requires 0 <= x0 and 0 <= y0 so monomial powers are monotone.
-        """
-        if x0 < 0 or y0 < 0:
-            raise ValueError("box must sit in the nonnegative quadrant")
-        lo = hi = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            m_lo = x0 ** i * y0 ** j
-            m_hi = x1 ** i * y1 ** j
-            if c > 0:
-                lo += c * m_lo
-                hi += c * m_hi
-            else:
-                lo += c * m_hi
-                hi += c * m_lo
-        return lo, hi
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly2(0)"

@@ -4,13 +4,15 @@ The oracles here deliberately avoid the code paths they check: support
 functions are evaluated by scanning all maximal cones, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
-2^n * n! signed permutations, the square-fiber linear system is
-re-derived from the extremal equation itself, integrability is sampled
-on a grid of rational points, real roots are isolated with Sturm chains
-over Fraction coefficients (Euclidean gcd, rebuilt on every call), the
-CSC obstruction is evaluated from its defining integrals and its
-polynomial interpolated from those values, and twist-one
-diffeomorphism is decided by trying every permutation.
+2^n * n! signed permutations, orbit edges are applied afresh from every
+member, the square-fiber linear system is re-derived from the extremal
+equation itself, integrability is sampled on a grid of rational points,
+positivity is certified on Fraction boxes with Fraction interval bounds,
+real roots are isolated with Sturm chains over Fraction coefficients
+(Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
+from its defining integrals and its polynomial interpolated from those
+values, and twist-one diffeomorphism is decided by trying every
+permutation.
 """
 
 import itertools
@@ -24,6 +26,10 @@ from bott import almostkahler as ak
 
 from bott.core import (
     BottMatrix,
+    EquivalenceMove,
+    OrbitEdge,
+    OrbitReport,
+    _orbit_images,
     apply_signed_permutation,
     fiber_inversion,
     permutation_conjugate,
@@ -261,6 +267,31 @@ def normalize_twist_oracle(A: BottMatrix) -> BottMatrix:
             cur = permutation_conjugate(cur, transposition(n, j - 1, j))
             j -= 1
     return cur
+
+
+def orbit_edges_oracle(A: BottMatrix) -> OrbitReport:
+    """The orbit report with every edge computed from its own source.
+
+    Members are the distinct images of bott.core, sorted as BottMatrix
+    objects; each member's fiber inversions and applicable transpositions
+    are applied to it afresh, with no use of the moves being involutions.
+    """
+    reps = tuple(sorted(BottMatrix(rows) for rows in set(_orbit_images(A))))
+    index = {B: i for i, B in enumerate(reps)}
+    n = A.n
+    edges = []
+    for i, B in enumerate(reps):
+        for k in range(n):
+            edges.append(OrbitEdge(i, index[fiber_inversion(B, k)],
+                                   EquivalenceMove("fiber_inversion", index=k)))
+        for a in range(n):
+            for b in range(a + 1, n):
+                sigma = transposition(n, a, b)
+                moved = permutation_conjugate(B, sigma)
+                if moved is not None:
+                    edges.append(OrbitEdge(i, index[moved], EquivalenceMove(
+                        "permutation_conjugation", permutation=sigma)))
+    return OrbitReport(reps, reps[0], tuple(edges))
 
 
 def _int_det(mat: list[list[int]]) -> int:
@@ -506,6 +537,53 @@ def csc_condition_polynomial_oracle(m: int, r_plus) -> Poly:
 def csc_family_solve_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
     g = csc_condition_polynomial_oracle(m, r_plus)
     return roots_in_interval_oracle(g, Fraction(-1), Fraction(0), tolerance)
+
+
+# -- positivity by Fraction subdivision -----------------------------------------
+
+def bounds_on_box_oracle(poly, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
+    """Interval enclosure of the range of a Poly2 over [x0,x1] x [y0,y1].
+
+    Requires 0 <= x0 and 0 <= y0 so monomial powers are monotone.
+    """
+    if x0 < 0 or y0 < 0:
+        raise ValueError("box must sit in the nonnegative quadrant")
+    lo = hi = Fraction(0)
+    for (i, j), c in poly.coeffs.items():
+        m_lo = x0 ** i * y0 ** j
+        m_hi = x1 ** i * y1 ** j
+        if c > 0:
+            lo += c * m_lo
+            hi += c * m_hi
+        else:
+            lo += c * m_hi
+            hi += c * m_lo
+    return lo, hi
+
+
+def certify_sign_oracle(poly, depth: int) -> bool:
+    """almostkahler._certify_sign with Fraction boxes and Fraction bounds:
+    the same depth-first subdivision, and Inconclusive at the same box."""
+    center = poly.eval(Fraction(1, 2), Fraction(1, 2))
+    if center <= 0:
+        return False
+    one = Fraction(1)
+    boxes = [(Fraction(0), one, Fraction(0), one, 0)]
+    while boxes:
+        x0, x1, y0, y1, d = boxes.pop()
+        lo, _ = bounds_on_box_oracle(poly, x0, x1, y0, y1)
+        if lo > 0:
+            continue
+        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+        if poly.eval(mx, my) <= 0:
+            return False
+        if d >= depth:
+            raise ak.Inconclusive("sign not certified within the refinement cap")
+        boxes.extend([
+            (x0, mx, y0, my, d + 1), (mx, x1, y0, my, d + 1),
+            (x0, mx, my, y1, d + 1), (mx, x1, my, y1, d + 1),
+        ])
+    return True
 
 
 # -- integrability on a sample grid ---------------------------------------------

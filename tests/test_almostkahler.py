@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bott import almostkahler as ak
 from bott.polynomials import Poly2
 
-from conftest import check_integrability_grid_oracle
+from conftest import certify_sign_oracle, check_integrability_grid_oracle
 
 
 def random_data(rng):
@@ -164,6 +164,70 @@ class TestPositivity:
         graze = (z1 - Fraction(1, 3)) * (z1 - Fraction(1, 3))
         with pytest.raises(ak.Inconclusive):
             ak._certify_sign(graze, depth=8)
+
+
+def sign_outcome(certify, poly, depth):
+    try:
+        return certify(poly, depth)
+    except ak.Inconclusive:
+        return "inconclusive"
+
+
+unit_fracs = st.builds(Fraction, st.integers(0, 8), st.just(8)) | \
+    st.builds(Fraction, st.integers(1, 5), st.just(6))
+coeff_fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def thin_polys(draw):
+    """k1 (z1 - r)^2 + k2 (z2 - s)^2 + m z1 z2 (z1 - r) + eps: with a small
+    eps the sign is decided only deep in the subdivision, or not at all."""
+    z1, z2 = Poly2.var(0), Poly2.var(1)
+    r, s = draw(unit_fracs), draw(unit_fracs)
+    k1, k2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    eps = Fraction(draw(st.integers(-2, 5)), draw(st.sampled_from((1, 8, 100, 4096))))
+    tilt = draw(st.integers(-2, 2))
+    return (k1 * (z1 - r) * (z1 - r) + k2 * (z2 - s) * (z2 - s)
+            + tilt * z1 * z2 * (z1 - r) + eps)
+
+
+@st.composite
+def term_polys(draw):
+    terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), coeff_fracs),
+                          max_size=6))
+    return sum((Poly2({(i, j): c}) for i, j, c in terms), Poly2.constant(draw(coeff_fracs)))
+
+
+class TestCertifySignOracle:
+    @given(thin_polys() | term_polys(), st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_boxes_match_fraction_boxes(self, poly, depth):
+        assert sign_outcome(ak._certify_sign, poly, depth) == \
+            sign_outcome(certify_sign_oracle, poly, depth)
+
+    @pytest.mark.parametrize("p0, p1, p2", [(1, 2, 2), (Fraction(5, 3), 4, -1), (1, 0, 0)])
+    def test_metric_polynomials_match(self, p0, p1, p2):
+        data = ak.SquareFiberData.make(p0, p1, p2)
+        sol = ak.solve_ak(data)
+        z1, z2 = Poly2.var(0), Poly2.var(1)
+        w1, w2 = z1 * (1 - z1), z2 * (1 - z2)
+        b1 = 2 * data.q_poly() + sol.a11 * w1
+        b2 = 2 * data.q_poly() + sol.a22 * w2
+        for poly in (b1, b1 * b2 - sol.a12 * sol.a12 * w1 * w2):
+            for depth in (0, 2, ak.DEFAULT_POSITIVITY_DEPTH):
+                assert sign_outcome(ak._certify_sign, poly, depth) == \
+                    sign_outcome(certify_sign_oracle, poly, depth)
+
+    def test_depth_cap_boundary(self):
+        # certified exactly at the first depth the oracle certifies, and
+        # inconclusive one level short of it
+        z1, z2 = Poly2.var(0), Poly2.var(1)
+        thin = ((z1 - Fraction(1, 3)) * (z1 - Fraction(1, 3))
+                + (z2 - Fraction(2, 3)) * (z2 - Fraction(2, 3)) + Fraction(1, 30))
+        depth = next(d for d in range(20) if sign_outcome(certify_sign_oracle, thin, d) is True)
+        assert depth > 0
+        assert sign_outcome(ak._certify_sign, thin, depth) is True
+        assert sign_outcome(ak._certify_sign, thin, depth - 1) == "inconclusive"
 
 
 class TestIntegrability:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bott import cli
 from bott import cohomology as coh
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
@@ -227,6 +228,20 @@ class TestScan:
             "a": 0, "b": 0, "c": 0, "twist": 0, "cotwist": 0, "reductive": True,
             "fano": True, "p1": 0, "q_trivial": True, "topological_twist": 0}
 
+    def test_radius_bound(self, tmp_path):
+        result = run(["scan", "--radius", "8"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "stage_too_large"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scan", "--radius", "60"]) == 1
+        assert json.loads(err.getvalue())["error"] == "stage_too_large"
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"scan_radius_bound": 1}', encoding="utf-8")
+        assert len(run(["--config", str(cfg), "scan", "--radius", "1"]).payload) == 27
+        result = run(["--config", str(cfg), "scan", "--radius", "2"])
+        assert result.payload["error"] == "stage_too_large"
+
     def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "stage3_census.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--radius", "1"])
@@ -342,7 +357,8 @@ class TestConfig:
         '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
         '{"orbit_stage_bound": "8"}', '{"positivity_depth": 2.7}',
         '{"integrability_grid": 0}', '{"orbit_stage_bnd": 2}', '{"orbit_stage_bound": -3}',
-        '{"orbit_stage_bound": null}', '{"csc_tolerance": true}',
+        '{"orbit_stage_bound": null}', '{"scan_radius_bound": 0}',
+        '{"scan_radius_bound": 7.5}', '{"csc_tolerance": true}',
         '{"csc_tolerance": "abc"}', '{"csc_tolerance": "0"}', '{"csc_tolerance": [1]}',
         '[1, 2]', '"limits"', '{"orbit_stage_bound": ', '',
     ])
@@ -380,3 +396,51 @@ class TestConfig:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["--config", path, "orbit", "--stage3", "0", "0", "0"]) == 1
         assert json.loads(err.getvalue())["error"] == "invalid_input"
+
+
+class TestParserReuse:
+    # each pair runs a flag, then the same command without it; a parse
+    # error (exit 2) sits in between
+    SEQUENCE = [
+        ["orbit", "--stage3", "1", "2", "3", "--stage-bound", "2"],
+        ["orbit", "--stage3", "1", "2", "3"],
+        ["cone", "--stage3", "-1", "2", "-3", "--basis", "uvu"],
+        ["twist", "--stage3", "x", "1", "2"],
+        ["cone", "--stage3", "-1", "2", "-3"],
+        ["symplectic-count", "11", "6", "1", "--enumerate"],
+        ["symplectic-count", "11", "6", "1"],
+        ["csc-family", "--m", "2", "--rplus", "1/3", "--csv"],
+        ["cone", "--basis"],
+        ["csc-family", "--m", "2", "--rplus", "1/3"],
+    ]
+
+    @staticmethod
+    def outcome(argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return run(argv)
+            except SystemExit as exc:
+                return ("exit", exc.code)
+
+    def test_reused_parser_matches_fresh_parser(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            reused = [self.outcome(argv) for argv in self.SEQUENCE]
+            assert len(builds) == 1
+            fresh = []
+            for argv in self.SEQUENCE:
+                cli._parser.cache_clear()
+                fresh.append(self.outcome(argv))
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1 + len(self.SEQUENCE)
+        assert reused == fresh
+        assert [r if isinstance(r, tuple) else r.exit_code for r in reused] == \
+            [1, 0, 0, ("exit", 2), 0, 0, 0, 0, ("exit", 2), 0]
+        assert "representatives" in reused[5].payload
+        assert "representatives" not in reused[6].payload
+        assert reused[7].text is not None and reused[9].text is None
+        assert reused[2].payload["basis"] == "uvu" and reused[4].payload["basis"] == "uuu"

@@ -153,6 +153,12 @@ class TestKahlerCone:
     def test_scan_size(self):
         assert len(bfan.kahler_cone_scan(M3(0, 0, 0))) == 4
 
+    @given(bott_matrices(min_stage=1, max_stage=7, max_entry=3))
+    @settings(max_examples=25, deadline=None)
+    def test_scan_matches_each_basis(self, A):
+        choices = ["u" + "".join(t) for t in itertools.product("uv", repeat=A.n - 1)]
+        assert bfan.kahler_cone_scan(A) == {c: bfan.kahler_cone(A, c) for c in choices}
+
     def test_inequality_json(self):
         ineqs, _ = bfan.kahler_cone(M3(-1, 2, -3), "uuu")
         blob = ineqs[0].to_json()

@@ -43,6 +43,8 @@ DOMAIN_ERRORS = {
     ak.Inconclusive: "inconclusive",
 }
 
+SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
+
 
 @dataclass
 class CommandResult:
@@ -328,9 +330,8 @@ def _payload_for(args, limits: Limits):
         }
 
     if cmd == "scan":
-        if args.radius > limits.scan_radius_bound:
-            raise StageTooLarge(f"radius {args.radius} exceeds bound "
-                                f"{limits.scan_radius_bound}")
+        if args.radius > SCAN_RADIUS_BOUND:
+            raise StageTooLarge(f"radius {args.radius} exceeds bound {SCAN_RADIUS_BOUND}")
         return list(stage3_rows(args.radius))
 
     raise ValueError(f"unhandled command {cmd}")

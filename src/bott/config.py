@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 ENV_VAR = "BOTT_CONFIG"
-INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth",
-              "scan_radius_bound")
+INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth")
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class Limits:
     orbit_stage_bound: int = 8
     root_stage_bound: int = 8
     positivity_depth: int = 20
-    scan_radius_bound: int = 7    # `bott scan` visits (2r+1)^3 towers
     csc_tolerance: Fraction = Fraction(1, 10 ** 12)
 
 

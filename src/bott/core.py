@@ -365,17 +365,24 @@ def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> 
     n = A.n
     _check_stage_bound(n, stage_bound)
     canonical, first = _flip_classes(A)
-    # the image of (F, sigma) under the key F n^n + code(sigma), one F per W_F
+    # found numbers the distinct images in the order they appear; member_at
+    # maps the key F n^n + code(sigma) of every pair (one F per W_F) to the
+    # number of its image, and source keeps the first key of each number.
+    # member_at has one entry per pair, up to 2^n n! (n! for the identity).
     width = n ** n
-    distinct: dict[Rows, Rows] = {}
-    images = {F * width + code: distinct.setdefault(rows, rows)
-              for W, F in first.items() for code, rows in _linear_extension_images(W)}
-    members = sorted(distinct)
-    index = {rows: i for i, rows in enumerate(members)}
-    member_at = {key: index[rows] for key, rows in images.items()}
-    source: dict[int, int] = {}
-    for key, i in member_at.items():
-        source.setdefault(i, key)
+    found: dict[Rows, int] = {}
+    member_at: dict[int, int] = {}
+    source: list[int] = []
+    for W, F in first.items():
+        for code, rows in _linear_extension_images(W):
+            key = F * width + code
+            i = member_at[key] = found.setdefault(rows, len(found))
+            if i == len(source):
+                source.append(key)
+    members = sorted(found)
+    rank = [0] * len(members)
+    for i, rows in enumerate(members):
+        rank[found[rows]] = i
     powers = [n ** j for j in range(n)]
     inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
     # swapping positions a and b of sigma adds (sigma[b] - sigma[a]) (n^a - n^b) to its code
@@ -384,16 +391,17 @@ def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> 
              for a in range(n) for b in range(a + 1, n) for sigma in [transposition(n, a, b)]]
     edges = []
     for i, rows in enumerate(members):
-        key = source[i]
+        key = source[found[rows]]
         F, code = divmod(key, width)
         sigma = [code // power % n for power in powers]
         for k, move in enumerate(inversions):
             target = canonical[F ^ 1 << sigma[k]] * width + code
-            edges.append(OrbitEdge(i, member_at[target], move))
+            edges.append(OrbitEdge(i, rank[member_at[target]], move))
         support = _support(rows)
         for a, b, shift, inverted, move in swaps:
             if not support & inverted:
-                edges.append(OrbitEdge(i, member_at[key + (sigma[b] - sigma[a]) * shift], move))
+                target = key + (sigma[b] - sigma[a]) * shift
+                edges.append(OrbitEdge(i, rank[member_at[target]], move))
     reps = tuple(map(BottMatrix, members))
     return OrbitReport(reps, reps[0], tuple(edges))
 

@@ -228,7 +228,10 @@ class TestScan:
             "a": 0, "b": 0, "c": 0, "twist": 0, "cotwist": 0, "reductive": True,
             "fano": True, "p1": 0, "q_trivial": True, "topological_twist": 0}
 
-    def test_radius_bound(self, tmp_path):
+    def test_radius_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "stage3_rows", lambda radius: iter([]))
+        assert run(["scan", "--radius", "7"]).exit_code == 0
+        monkeypatch.undo()
         result = run(["scan", "--radius", "8"])
         assert result.exit_code == 1
         assert result.payload["error"] == "stage_too_large"
@@ -236,11 +239,6 @@ class TestScan:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["scan", "--radius", "60"]) == 1
         assert json.loads(err.getvalue())["error"] == "stage_too_large"
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"scan_radius_bound": 1}', encoding="utf-8")
-        assert len(run(["--config", str(cfg), "scan", "--radius", "1"]).payload) == 27
-        result = run(["--config", str(cfg), "scan", "--radius", "2"])
-        assert result.payload["error"] == "stage_too_large"
 
     def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "stage3_census.py"
@@ -357,8 +355,7 @@ class TestConfig:
         '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
         '{"orbit_stage_bound": "8"}', '{"positivity_depth": 2.7}',
         '{"integrability_grid": 0}', '{"orbit_stage_bnd": 2}', '{"orbit_stage_bound": -3}',
-        '{"orbit_stage_bound": null}', '{"scan_radius_bound": 0}',
-        '{"scan_radius_bound": 7.5}', '{"csc_tolerance": true}',
+        '{"orbit_stage_bound": null}', '{"csc_tolerance": true}',
         '{"csc_tolerance": "abc"}', '{"csc_tolerance": "0"}', '{"csc_tolerance": [1]}',
         '[1, 2]', '"limits"', '{"orbit_stage_bound": ', '',
     ])

@@ -48,8 +48,6 @@ SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 
 @dataclass
 class CommandResult:
-    command: str
-    inputs: dict
     payload: object
     exit_code: int
     text: Optional[str] = None   # preformatted output (CSV) when set
@@ -154,9 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("twist", "cotwist", "orbit", "cohomology", "reductive", "roots", "fano"):
         p = sub.add_parser(name)
         _add_matrix_args(p)
-        if name == "orbit":
-            p.add_argument("--stage-bound", type=int, default=None)
-        if name in ("reductive", "roots"):
+        if name in ("orbit", "reductive", "roots"):
             p.add_argument("--stage-bound", type=int, default=None)
 
     p = sub.add_parser("classes", help="characteristic classes")
@@ -376,12 +372,10 @@ def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
 
 def _csc_family_result(args, limits: Limits) -> CommandResult:
     tol = _given(args.tolerance, limits.csc_tolerance)
-    inputs = {"m": args.m, "rplus": str(args.rplus) if args.rplus is not None else None,
-              "sweep": str(args.sweep) if args.sweep is not None else None}
     if args.sweep is not None:
         text = emit_plot_data("csc-family",
                               {"m": args.m, "sweep": args.sweep, "tolerance": tol})
-        return CommandResult("csc-family", inputs, text.splitlines()[1:], 0, text=text)
+        return CommandResult(text.splitlines()[1:], 0, text=text)
     if args.rplus is None:
         raise ValueError("provide --rplus or --sweep")
     roots = adm.csc_family_solve(args.m, args.rplus, tol)
@@ -389,8 +383,8 @@ def _csc_family_result(args, limits: Limits) -> CommandResult:
     if args.csv:
         text = _csv(("m", "r_plus", "r_minus"),
                     [(args.m, float(args.rplus), float(r)) for r in roots])
-        return CommandResult("csc-family", inputs, payload, 0, text=text)
-    return CommandResult("csc-family", inputs, payload, 0)
+        return CommandResult(payload, 0, text=text)
+    return CommandResult(payload, 0)
 
 
 def _cproj_result(args, limits: Limits) -> CommandResult:
@@ -401,12 +395,11 @@ def _cproj_result(args, limits: Limits) -> CommandResult:
         F = adm.extremal_polynomial(data).F
     if args.alpha is None:
         raise ValueError("provide --alpha")
-    inputs = {"alpha": str(args.alpha), "beta": str(args.beta)}
     if args.trajectory:
         text = emit_plot_data("cproj-trajectory",
                               {"data": data, "alpha": args.alpha, "beta": args.beta,
                                "steps": args.trajectory, "poly": F})
-        return CommandResult("cproj", inputs, text.splitlines()[1:], 0, text=text)
+        return CommandResult(text.splitlines()[1:], 0, text=text)
     new_F, new_data = adm.cproj_transform(F, data, args.alpha, args.beta)
     payload = {
         "F": [str(c) for c in F],
@@ -414,13 +407,11 @@ def _cproj_result(args, limits: Limits) -> CommandResult:
         "r": [str(r) for r in data.r_list()],
         "r_transformed": [str(r) for r in new_data.r_list()],
     }
-    return CommandResult("cproj", inputs, payload, 0)
+    return CommandResult(payload, 0)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     args = _parser().parse_args(argv)
-    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-
     try:
         limits = load_limits(args.config)
         if args.command == "csc-family":
@@ -430,18 +421,17 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
         payload = _payload_for(args, limits)
     except tuple(DOMAIN_ERRORS) as exc:
         code = DOMAIN_ERRORS[type(exc)]
-        return CommandResult(args.command, inputs, {"error": code, "message": str(exc)}, 1)
+        return CommandResult({"error": code, "message": str(exc)}, 1)
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError,
             json.JSONDecodeError, KeyError) as exc:
-        return CommandResult(args.command, inputs,
-                             {"error": "invalid_input", "message": str(exc)}, 1)
+        return CommandResult({"error": "invalid_input", "message": str(exc)}, 1)
 
     if args.command == "scan" and getattr(args, "csv", False):
         rows = payload
         header = list(rows[0].keys()) if rows else []
         text = _csv(header, [[row[h] for h in header] for row in rows])
-        return CommandResult(args.command, inputs, payload, 0, text=text)
-    return CommandResult(args.command, inputs, payload, 0)
+        return CommandResult(payload, 0, text=text)
+    return CommandResult(payload, 0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,6 +5,11 @@ alpha_k = sum_{j<k} A[k][j] x_j, so every class is an integer combination
 of the 2^n square-free monomials.  Monomials are encoded as n-bit masks
 (bit j set means x_{j+1} divides the monomial); coefficients are Python
 ints, hence arbitrary precision.
+
+Products use one rule: x_j times a square-free monomial m is m with bit j
+set when x_j does not divide m, and -sum_{i<j} A[j][i] x_i m when it does.
+A class is multiplied by a monomial by applying its generators one at a
+time, and each ring memoizes the rule's answers on divisible monomials.
 """
 
 from __future__ import annotations
@@ -93,15 +98,19 @@ class CohomologyClass:
         other = self.ring.coerce(other)
         if other.ring.A != self.ring.A:
             raise ValueError("classes live in different rings")
+        times_x = self.ring._times_x
         out: dict[int, int] = {}
-        for m1, c1 in self._coeffs.items():
-            for m2, c2 in other._coeffs.items():
-                for m, c in self.ring._square_free_product(m1, m2).items():
-                    v = out.get(m, 0) + c1 * c2 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
+        for m2, c2 in other._coeffs.items():
+            part = self._coeffs
+            for j in range(self.n):
+                if m2 >> j & 1:
+                    nxt: dict[int, int] = {}
+                    for m, c in part.items():
+                        for mask, d in times_x(j, m).items():
+                            nxt[mask] = nxt.get(mask, 0) + c * d
+                    part = nxt
+            for m, c in part.items():
+                out[m] = out.get(m, 0) + c2 * c
         return CohomologyClass(self.ring, out)
 
     def __pow__(self, k: int) -> "CohomologyClass":
@@ -150,8 +159,7 @@ class CohomologyRing:
         # alpha_k as (index, entry) pairs from row k
         self._alpha_rows = tuple(tuple((j, A.rows[k][j]) for j in range(k) if A.rows[k][j])
                                  for k in range(self.n))
-        self._reduce_cache: dict[tuple[int, ...], dict[int, int]] = {}
-        self._product_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self._times_x_memo: dict[int, dict[int, int]] = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -201,48 +209,27 @@ class CohomologyRing:
 
     # -- multiplication ------------------------------------------------------
 
-    def _square_free_product(self, m1: int, m2: int) -> dict[int, int]:
-        key = (m1, m2) if m1 <= m2 else (m2, m1)
-        cached = self._product_cache.get(key)
-        if cached is None:
-            counts = [0] * self.n
-            for i in range(self.n):
-                counts[i] = (m1 >> i & 1) + (m2 >> i & 1)
-            cached = self._reduce(tuple(counts))
-            self._product_cache[key] = cached
-        return cached
+    def _times_x(self, j: int, m: int) -> dict[int, int]:
+        """x_j times the square-free monomial m, in the square-free basis.
 
-    def _reduce(self, counts: tuple[int, ...]) -> dict[int, int]:
-        """Rewrite a monomial with repeated factors in the square-free basis.
-
-        Repeatedly substitutes x_k^2 -> -alpha_k x_k at the highest
-        repeated index; alpha_k only involves smaller indices, so the
-        pair (highest repeated index, its count) drops lexicographically
-        and the rewriting terminates.
+        When x_j divides m, x_j^2 = -alpha_j x_j gives
+        x_j m = -sum_{i<j} A[j][i] x_i m; the recursion ends since i < j.
         """
-        cached = self._reduce_cache.get(counts)
-        if cached is not None:
-            return cached
-        k = max((i for i, c in enumerate(counts) if c >= 2), default=-1)
-        if k < 0:
-            mask = 0
-            for i, c in enumerate(counts):
-                if c:
-                    mask |= 1 << i
-            result = {mask: 1}
-        else:
+        bit = 1 << j
+        if not m & bit:
+            return {m | bit: 1}
+        key = m * self.n + j
+        result = self._times_x_memo.get(key)
+        if result is None:
             result = {}
-            for j, a in self._alpha_rows[k]:
-                nxt = list(counts)
-                nxt[k] -= 1
-                nxt[j] += 1
-                for mask, c in self._reduce(tuple(nxt)).items():
+            for i, a in self._alpha_rows[j]:
+                for mask, c in self._times_x(i, m).items():
                     v = result.get(mask, 0) - a * c
                     if v:
                         result[mask] = v
-                    elif mask in result:
+                    else:
                         del result[mask]
-        self._reduce_cache[counts] = result
+            self._times_x_memo[key] = result
         return result
 
     # -- characteristic classes ----------------------------------------------
@@ -314,55 +301,13 @@ def ring(A: BottMatrix) -> CohomologyRing:
     """The ring of A, shared by consecutive calls on the same tower.
 
     The repeat traffic is a few calls on one tower in a row: the
-    `cohomology` and `classes c|p|w2` commands, or the module-level
-    helpers below.  A ring keeps every monomial product it has reduced,
-    up to megabytes at n = 8..11, while rebuilding every class of a
-    stage-3 ring costs about 0.3 ms; so the cache holds only a few
-    recent towers instead of every tower a long scan has seen.
+    `cohomology` and `classes c|p|w2` commands, or `topological_twist`.
+    A ring memoizes x_j m for every monomial m divisible by x_j that its
+    products have met, a few thousand entries at n = 11, while rebuilding
+    every class of a stage-3 ring costs about 0.2 ms; so the cache holds
+    only a few recent towers instead of every tower a long scan has seen.
     """
     return CohomologyRing(A)
-
-
-# Module-level conveniences mirroring the ring methods.
-
-def x(A: BottMatrix, k: int) -> CohomologyClass:
-    return ring(A).x(k)
-
-
-def y(A: BottMatrix, k: int) -> CohomologyClass:
-    return ring(A).y(k)
-
-
-def alpha(A: BottMatrix, k: int) -> CohomologyClass:
-    return ring(A).alpha(k)
-
-
-def multiply(u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
-    return u * v
-
-
-def chern_total(A: BottMatrix) -> CohomologyClass:
-    return ring(A).chern_total()
-
-
-def chern_1(A: BottMatrix) -> CohomologyClass:
-    return ring(A).chern_1()
-
-
-def pontrjagin_total(A: BottMatrix) -> CohomologyClass:
-    return ring(A).pontrjagin_total()
-
-
-def stiefel_whitney_2(A: BottMatrix) -> Mod2Class:
-    return ring(A).stiefel_whitney_2()
-
-
-def is_q_trivial(A: BottMatrix) -> bool:
-    return ring(A).is_q_trivial()
-
-
-def square_zero_primitives(A: BottMatrix) -> list[CohomologyClass]:
-    return ring(A).square_zero_primitives()
 
 
 def topological_twist(A: BottMatrix) -> int:

@@ -247,11 +247,18 @@ def is_reductive(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> bool:
 
 
 def csc_obstructed(A: BottMatrix) -> tuple[bool, Optional[tuple[str, int]]]:
-    """Obstruction to constant scalar curvature from non-reductivity.
+    """Sufficient test for the obstruction to constant scalar curvature.
 
     Fires when some row's below-diagonal entries are weakly same-signed
     and not all zero, or when a leading principal block is a nontrivial
-    tower of topological twist zero.  Returns the witness found.
+    tower of topological twist zero.  When it fires the automorphism
+    group is not reductive, so no Kahler metric has constant scalar
+    curvature; when it does not, nothing follows.  The answer depends on
+    the matrix chosen for the tower: the orbit of the n = 5 tower with
+    rows (1,0,0,0,0), (0,1,0,0,0), (0,0,1,0,0), (0,-2,2,1,0),
+    (0,0,0,-1,1) has 40 members, none reductive, and the test fires on
+    20 of them.  `is_reductive` answers for the tower itself.  Returns
+    the witness found.
     """
     n = A.n
     for i in range(1, n):

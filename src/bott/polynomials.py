@@ -393,14 +393,6 @@ def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     return result
 
 
-def to_strings(p: Poly) -> list[str]:
-    return [str(c) for c in p]
-
-
-def from_strings(coeffs: Sequence[str]) -> Poly:
-    return poly(Fraction(c) for c in coeffs)
-
-
 class SingularSystem(ArithmeticError):
     """A square linear system without a unique solution."""
 

@@ -5,7 +5,8 @@ functions are evaluated by scanning all maximal cones, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, orbit edges are applied afresh from every
-member, the square-fiber linear system is re-derived from the extremal
+member, cohomology products rewrite exponent vectors with x_k^2 ->
+-alpha_k x_k, the square-fiber linear system is re-derived from the extremal
 equation itself, integrability is sampled on a grid of rational points,
 positivity is certified on Fraction boxes with Fraction interval bounds,
 real roots are isolated with Sturm chains over Fraction coefficients
@@ -234,6 +235,85 @@ def topological_twist0_factorization_exists(A: BottMatrix, entry_bound=None) -> 
 
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return search(n - 1, identity)
+
+
+def square_free_product_oracle(ring, m1: int, m2: int,
+                               cache: Optional[dict] = None) -> dict[int, int]:
+    """Product of two square-free monomials, by rewriting its count vector.
+
+    This is the ring's former two-layer multiplication: the exponent
+    vector of m1 * m2 is reduced by substituting x_k^2 -> -alpha_k x_k,
+    with no use of the one-generator rule of bott.cohomology.  `cache`
+    may be shared across calls on the same ring.
+    """
+    counts = [0] * ring.n
+    for i in range(ring.n):
+        counts[i] = (m1 >> i & 1) + (m2 >> i & 1)
+    return _reduce_oracle(ring, tuple(counts), {} if cache is None else cache)
+
+
+def _reduce_oracle(ring, counts: tuple[int, ...], cache: dict) -> dict[int, int]:
+    """Rewrite a monomial with repeated factors in the square-free basis.
+
+    Repeatedly substitutes x_k^2 -> -alpha_k x_k at the highest
+    repeated index; alpha_k only involves smaller indices, so the
+    pair (highest repeated index, its count) drops lexicographically
+    and the rewriting terminates.
+    """
+    cached = cache.get(counts)
+    if cached is not None:
+        return cached
+    k = max((i for i, c in enumerate(counts) if c >= 2), default=-1)
+    if k < 0:
+        mask = 0
+        for i, c in enumerate(counts):
+            if c:
+                mask |= 1 << i
+        result = {mask: 1}
+    else:
+        result = {}
+        for j, a in ring._alpha_rows[k]:
+            nxt = list(counts)
+            nxt[k] -= 1
+            nxt[j] += 1
+            for mask, c in _reduce_oracle(ring, tuple(nxt), cache).items():
+                v = result.get(mask, 0) - a * c
+                if v:
+                    result[mask] = v
+                elif mask in result:
+                    del result[mask]
+    cache[counts] = result
+    return result
+
+
+def multiply_oracle(u, v, cache: Optional[dict] = None):
+    """u * v as the sum of the oracle products of their monomials."""
+    cache = {} if cache is None else cache
+    out: dict[int, int] = {}
+    for m1, c1 in u.terms():
+        for m2, c2 in v.terms():
+            for m, c in square_free_product_oracle(u.ring, m1, m2, cache).items():
+                out[m] = out.get(m, 0) + c1 * c2 * c
+    return u.ring.from_terms(out)
+
+
+def chern_total_oracle(ring):
+    """prod_k (1 + 2 x_k + alpha_k), multiplied with multiply_oracle."""
+    cache: dict = {}
+    total = ring.one()
+    for k in range(ring.n):
+        total = multiply_oracle(total, ring.one() + 2 * ring.x(k) + ring.alpha(k), cache)
+    return total
+
+
+def pontrjagin_total_oracle(ring):
+    """prod_k (1 + alpha_k^2), multiplied with multiply_oracle."""
+    cache: dict = {}
+    total = ring.one()
+    for k in range(ring.n):
+        a = ring.alpha(k)
+        total = multiply_oracle(total, ring.one() + multiply_oracle(a, a, cache), cache)
+    return total
 
 
 def signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

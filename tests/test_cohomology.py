@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from bott import cohomology as coh
 from bott.core import BottMatrix, twist, normalize_twist
-from conftest import bott_matrices, topological_twist0_factorization_exists
+from conftest import (
+    bott_matrices,
+    chern_total_oracle,
+    multiply_oracle,
+    pontrjagin_total_oracle,
+    topological_twist0_factorization_exists,
+)
 
 M3 = BottMatrix.stage3
 
@@ -80,6 +86,31 @@ class TestRingAxioms:
         assert v.is_homogeneous()
 
 
+class TestMultiplicationOracle:
+    @given(bott_matrices(min_stage=1, max_stage=7, max_entry=4), st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_oracle(self, A, seed):
+        rng = random.Random(seed)
+        R = coh.CohomologyRing(A)
+        u, v = (random_class(R, rng) for _ in range(2))
+        assert u * v == multiply_oracle(u, v)
+        assert u * u == multiply_oracle(u, u)
+
+    @given(bott_matrices(min_stage=1, max_stage=8, max_entry=3))
+    @settings(max_examples=30, deadline=None)
+    def test_totals_match_oracle(self, A):
+        R = coh.CohomologyRing(A)
+        assert R.chern_total() == chern_total_oracle(R)
+        assert R.pontrjagin_total() == pontrjagin_total_oracle(R)
+
+    @given(bott_matrices(min_stage=2, max_stage=7, max_entry=4))
+    @settings(max_examples=60, deadline=None)
+    def test_top_chern_coefficient_is_euler_characteristic(self, A):
+        # c_n evaluates to chi(M_n) = 2^n on the top monomial x_1 ... x_n
+        R = coh.CohomologyRing(A)
+        assert R.chern_total().coefficient((1 << A.n) - 1) == 2 ** A.n
+
+
 class TestChernClasses:
     def test_stage3_c1(self):
         for a, b, c in [(2, -3, 5), (0, 0, 0), (1, 1, 1)]:
@@ -115,7 +146,7 @@ class TestPontrjagin:
         R = coh.ring(M3(0, 1, -1))
         assert R.pontrjagin_class(1) == -2 * R.monomial([0, 1])
         I4 = BottMatrix.identity(4)
-        assert coh.pontrjagin_total(I4) == coh.ring(I4).one()
+        assert coh.ring(I4).pontrjagin_total() == coh.ring(I4).one()
 
     def test_twist_one_pontrjagin(self):
         k = (2, -1, 3)
@@ -139,7 +170,7 @@ class TestPontrjagin:
     def test_vanishing_above_twist(self, A):
         N = normalize_twist(A)
         t = twist(N)
-        p = coh.pontrjagin_total(N)
+        p = coh.ring(N).pontrjagin_total()
         for k in range(t + 1, N.n + 1):
             assert p.graded_part(2 * k).is_zero()
 
@@ -160,7 +191,7 @@ class TestPontrjagin:
                 [entries[3], entries[4], entries[5], 1],
             ])
             assert twist(A) == 3
-            assert coh.pontrjagin_total(A).graded_part(4).is_zero()
+            assert coh.ring(A).pontrjagin_total().graded_part(4).is_zero()
 
 
 class TestMod2AndTriviality:
@@ -168,7 +199,7 @@ class TestMod2AndTriviality:
         for a in range(-2, 3):
             for b in range(-2, 3):
                 for c in range(-2, 3):
-                    w2 = coh.stiefel_whitney_2(M3(a, b, c))
+                    w2 = coh.ring(M3(a, b, c)).stiefel_whitney_2()
                     expected = set()
                     if (a + b) % 2:
                         expected.add(0b001)
@@ -180,9 +211,9 @@ class TestMod2AndTriviality:
         for a in range(-3, 4):
             for b in range(-3, 4):
                 for c in range(-3, 4):
-                    assert coh.is_q_trivial(M3(a, b, c)) == (c * (2 * b - a * c) == 0)
-        assert coh.is_q_trivial(BottMatrix.identity(5))
-        assert not coh.is_q_trivial(M3(0, 1, 1))
+                    assert coh.ring(M3(a, b, c)).is_q_trivial() == (c * (2 * b - a * c) == 0)
+        assert coh.ring(BottMatrix.identity(5)).is_q_trivial()
+        assert not coh.ring(M3(0, 1, 1)).is_q_trivial()
 
     def test_square_zero_primitives(self):
         R = coh.ring(M3(2, 0, 0))
@@ -196,8 +227,8 @@ class TestMod2AndTriviality:
             assert (beta * beta).is_zero()
 
     def test_beta3_only_when_trivial(self):
-        assert len(coh.square_zero_primitives(M3(0, 0, 0))) == 3
-        assert len(coh.square_zero_primitives(M3(0, 1, 1))) == 2
+        assert len(coh.ring(M3(0, 0, 0)).square_zero_primitives()) == 3
+        assert len(coh.ring(M3(0, 1, 1)).square_zero_primitives()) == 2
 
 
 class TestTopologicalTwist:

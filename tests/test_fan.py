@@ -294,6 +294,23 @@ class TestCscObstruction:
                     A = M3(a, b, c)
                     assert bfan.csc_obstructed(A)[0] == (not bfan.is_reductive(A))
 
+    @given(st.integers(4, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2)),
+                             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    @settings(max_examples=80, deadline=None)
+    def test_fires_only_when_not_reductive(self, shape):
+        A = lower_triangular(*shape)
+        if bfan.csc_obstructed(A)[0]:
+            assert not bfan.is_reductive(A)
+
+    def test_depends_on_representative(self):
+        A = BottMatrix.from_rows([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                                  [0, -2, 2, 1, 0], [0, 0, 0, -1, 1]])
+        reps = equivalence_orbit(A).representatives
+        fired = [B for B in reps if bfan.csc_obstructed(B)[0]]
+        assert (len(reps), len(fired)) == (40, 20)
+        assert not any(bfan.is_reductive(B) for B in reps)
+
 
 class TestFano:
     FANO3 = {(1, 0, 0), (1, 1, 1), (1, -1, -1), (-1, 0, 0), (-1, 0, 1), (-1, 0, -1)} | \

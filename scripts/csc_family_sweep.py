@@ -2,7 +2,9 @@
 """Sweep the CSC obstruction over the class parameters and emit curve data.
 
 For each m the obstruction vanishes on the balanced family r- = -r+ and,
-for large enough r+, on a second branch; the CSV feeds any plotter.
+for large enough r+, on a second branch; the CSV feeds any plotter.  The
+rows come from `bott.cli.csc_sweep_rows`, which `bott csc-family --sweep`
+uses too.
 
     python scripts/csc_family_sweep.py --m 1 2 3 4 --step 1/50 > families.csv
     python scripts/csc_family_sweep.py --m 2 --step 1/100 --second-only
@@ -12,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from bott import admissible as adm
+from bott.cli import CSC_HEADER, _csv, csc_sweep_rows
 
 
 def main() -> None:
@@ -24,16 +26,10 @@ def main() -> None:
                         help="drop the balanced family from the output")
     args = parser.parse_args()
     try:
-        sweeps = [(m, adm.csc_family_sweep(m, args.step, args.tolerance, args.second_only))
-                  for m in args.m]
+        rows = csc_sweep_rows(args.m, args.step, args.tolerance, args.second_only)
     except ValueError as exc:
         parser.error(str(exc))
-
-    out = sys.stdout
-    out.write("m,r_plus,r_minus\n")
-    for m, rows in sweeps:
-        for rp, root in rows:
-            out.write(f"{m},{float(rp)},{float(root)}\n")
+    sys.stdout.write(_csv(CSC_HEADER, rows))
 
 
 if __name__ == "__main__":

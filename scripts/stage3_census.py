@@ -12,7 +12,7 @@ which `bott scan` uses too.
 import argparse
 import sys
 
-from bott.cli import stage3_rows
+from bott.cli import _csv, stage3_rows
 
 HEADER = ("a", "b", "c", "twist", "cotwist", "toptwist", "p1", "q_type", "reductive",
           "fano", "ke", "diffeo_key")
@@ -27,10 +27,8 @@ def main() -> None:
     if args.radius < 0:
         parser.error("--radius must be a nonnegative integer")
 
-    out = sys.stdout
-    out.write(",".join(HEADER) + "\n")
-    for row in stage3_rows(args.radius, census=True):
-        out.write(",".join(str(row[key]) for key in COLUMNS) + "\n")
+    rows = stage3_rows(args.radius, census=True)
+    sys.stdout.write(_csv(HEADER, [[row[key] for key in COLUMNS] for row in rows]))
 
 
 if __name__ == "__main__":

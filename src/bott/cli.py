@@ -44,6 +44,7 @@ DOMAIN_ERRORS = {
 }
 
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
+CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
 @dataclass
@@ -65,16 +66,21 @@ def _given(flag, default):
     return default if flag is None else flag
 
 
+def _json_arg(raw: str):
+    """Inline JSON (text starting with "{") or the path of a file holding it."""
+    if not raw.strip().startswith("{"):
+        with open(raw, encoding="utf-8") as fh:
+            raw = fh.read()
+    return json.loads(raw)
+
+
 def _load_matrix(args) -> BottMatrix:
-    if getattr(args, "stage3", None) is not None:
-        a, b, c = args.stage3
-        return BottMatrix.stage3(a, b, c)
-    if getattr(args, "matrix", None):
-        raw = args.matrix
-        if not raw.strip().startswith("{"):
-            with open(raw, encoding="utf-8") as fh:
-                raw = fh.read()
-        return BottMatrix.from_json(json.loads(raw))
+    if args.stage3 is not None and args.matrix is not None:
+        raise ValueError("provide exactly one of --stage3 or --matrix")
+    if args.stage3 is not None:
+        return BottMatrix.stage3(*args.stage3)
+    if args.matrix:
+        return BottMatrix.from_json(_json_arg(args.matrix))
     raise ValueError("provide a tower via --stage3 a b c or --matrix JSON/file")
 
 
@@ -106,40 +112,6 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in rows:
         buf.write(",".join(str(x) for x in row) + "\n")
     return buf.getvalue()
-
-
-def emit_plot_data(kind: str, params: dict) -> str:
-    """CSV plot data for the family sweeps.
-
-    kind "csc-family" expects {"m", "sweep", "tolerance"} and emits
-    (m, r_plus, r_minus) rows over the sweep grid; "cproj-trajectory"
-    expects {"data", "alpha", "beta", "steps"} and emits (step, r1, r2)
-    rows along the straight parameter path from 0 to alpha.
-    """
-    if kind == "csc-family":
-        m = int(params["m"])
-        tol = Fraction(params.get("tolerance", Fraction(1, 10 ** 12)))
-        rows = [(m, float(rp), float(root))
-                for rp, root in adm.csc_family_sweep(m, params["sweep"], tol)]
-        return _csv(("m", "r_plus", "r_minus"), rows)
-    if kind == "cproj-trajectory":
-        data = params["data"]
-        alpha = Fraction(params["alpha"])
-        beta = Fraction(params.get("beta", 1))
-        steps = int(params["steps"])
-        F = params.get("poly") or adm.extremal_polynomial(data).F
-        rows = []
-        for step in range(steps + 1):
-            t = Fraction(step, steps)
-            if step == 0:
-                r_now = data.r_list()
-            else:
-                _, moved = adm.cproj_transform(F, data, t * alpha, beta)
-                r_now = moved.r_list()
-            rows.append((step, float(r_now[0]),
-                         float(r_now[1]) if len(r_now) > 1 else ""))
-        return _csv(("step", "r1", "r2"), rows)
-    raise ValueError(f"unknown plot kind {kind!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: the extremal polynomial of the data)")
     p.add_argument("--trajectory", type=int, metavar="STEPS",
                    help="emit the parameter path from 0 to alpha in STEPS steps")
-    p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("ak-solve")
     p.add_argument("p0", type=_frac)
@@ -231,16 +202,22 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _payload_for(args, limits: Limits):
+    """(payload, table) for one parsed command line.
+
+    table is None, or the (header, rows) that `run` prints as CSV.  A
+    payload of None marks a result that is only a table; its payload
+    becomes the CSV body lines.
+    """
     cmd = args.command
 
     if cmd in ("twist", "cotwist"):
         A = _load_matrix(args)
-        return twist(A) if cmd == "twist" else cotwist(A)
+        return (twist(A) if cmd == "twist" else cotwist(A)), None
 
     if cmd == "orbit":
         A = _load_matrix(args)
         bound = _given(args.stage_bound, limits.orbit_stage_bound)
-        return _orbit_json(equivalence_orbit(A, bound))
+        return _orbit_json(equivalence_orbit(A, bound)), None
 
     if cmd == "cohomology":
         A = _load_matrix(args)
@@ -249,49 +226,50 @@ def _payload_for(args, limits: Limits):
             "n": A.n,
             "alpha": [R.alpha(k).to_json() for k in range(A.n)],
             "y": [R.y(k).to_json() for k in range(A.n)],
-        }
+        }, None
 
     if cmd == "classes":
         A = _load_matrix(args)
         R = coh.ring(A)
         if args.kind == "c":
-            return R.chern_total().to_json()
+            return R.chern_total().to_json(), None
         if args.kind == "p":
-            return R.pontrjagin_total().to_json()
+            return R.pontrjagin_total().to_json(), None
         w2 = R.stiefel_whitney_2()
-        return {"n": w2.n, "monomials": [[i + 1 for i in mono] for mono in w2.monomials()]}
+        return {"n": w2.n,
+                "monomials": [[i + 1 for i in mono] for mono in w2.monomials()]}, None
 
     if cmd == "classify3":
-        return t3.stage3_invariants(args.a, args.b, args.c).to_json()
+        return t3.stage3_invariants(args.a, args.b, args.c).to_json(), None
 
     if cmd == "twist1-diffeo":
-        return t3.twist1_diffeomorphic(args.k, args.kprime)
+        return t3.twist1_diffeomorphic(args.k, args.kprime), None
 
     if cmd == "cone":
         A = _load_matrix(args)
         if args.scan_bases:
             return {choice: {"inequalities": [q.to_json() for q in ineqs],
                              "first_orthant": flag}
-                    for choice, (ineqs, flag) in bfan.kahler_cone_scan(A).items()}
+                    for choice, (ineqs, flag) in bfan.kahler_cone_scan(A).items()}, None
         basis = args.basis or "u" * A.n
         ineqs, flag = bfan.kahler_cone(A, basis)
         return {"basis": basis, "inequalities": [q.to_json() for q in ineqs],
-                "first_orthant": flag}
+                "first_orthant": flag}, None
 
     if cmd == "roots":
         A = _load_matrix(args)
         bound = _given(args.stage_bound, limits.root_stage_bound)
         roots = bfan.demazure_roots(A, bound)
         return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
-                "reductive": roots.is_symmetric()}
+                "reductive": roots.is_symmetric()}, None
 
     if cmd == "reductive":
         A = _load_matrix(args)
         bound = _given(args.stage_bound, limits.root_stage_bound)
-        return bfan.is_reductive(A, bound)
+        return bfan.is_reductive(A, bound), None
 
     if cmd == "fano":
-        return bfan.is_fano(_load_matrix(args))
+        return bfan.is_fano(_load_matrix(args)), None
 
     if cmd == "symplectic-count":
         n_b0, n_bne0, n_b = sp.count_compatible(args.k1, args.k2, args.k3)
@@ -299,21 +277,64 @@ def _payload_for(args, limits: Limits):
         if args.enumerate_reps:
             payload["representatives"] = [list(t) for t in
                                           sp.enumerate_compatible(args.k1, args.k2, args.k3)]
-        return payload
+        return payload, None
 
     if cmd == "compat-enumerate":
         reps = sp.enumerate_compatible(args.k1, args.k2, args.k3)
-        return {"count": len(reps), "representatives": [list(t) for t in reps]}
+        return {"count": len(reps), "representatives": [list(t) for t in reps]}, None
 
     if cmd == "extremal-poly":
-        data = _load_admissible(args.data)
+        data = adm.AdmissibleData.from_json(_json_arg(args.data))
         profile = adm.extremal_polynomial(data)
         return {
             "data": data.to_json(),
             "profile": profile.to_json(),
             "csc": adm.is_csc(profile),
             "positive": adm.is_positive_on_interval(profile.F),
-        }
+        }, None
+
+    if cmd == "csc-family":
+        tol = _given(args.tolerance, limits.csc_tolerance)
+        if (args.rplus is None) == (args.sweep is None):
+            raise ValueError("provide exactly one of --rplus or --sweep")
+        if args.sweep is not None:
+            return None, (CSC_HEADER, csc_sweep_rows([args.m], args.sweep, tol))
+        roots = adm.csc_family_solve(args.m, args.rplus, tol)
+        payload = {"m": args.m, "r_plus": str(args.rplus), "roots": [str(r) for r in roots]}
+        if not args.csv:
+            return payload, None
+        return payload, (CSC_HEADER, [(args.m, float(args.rplus), float(r)) for r in roots])
+
+    if cmd == "cproj":
+        data = adm.AdmissibleData.from_json(_json_arg(args.data))
+        if args.poly:
+            F = tuple(Fraction(c) for c in args.poly.split(","))
+        else:
+            F = adm.extremal_polynomial(data).F
+        if args.alpha is None:
+            raise ValueError("provide --alpha")
+        if args.trajectory is not None:
+            # (step, r1, r2) along the straight parameter path from 0 to alpha
+            steps = args.trajectory
+            if steps < 1:
+                raise ValueError("--trajectory must be a positive integer")
+            rows = []
+            for step in range(steps + 1):
+                if step == 0:
+                    r_now = data.r_list()
+                else:
+                    alpha = Fraction(step, steps) * args.alpha
+                    r_now = adm.cproj_transform(F, data, alpha, args.beta)[1].r_list()
+                rows.append((step, float(r_now[0]),
+                             float(r_now[1]) if len(r_now) > 1 else ""))
+            return None, (("step", "r1", "r2"), rows)
+        new_F, new_data = adm.cproj_transform(F, data, args.alpha, args.beta)
+        return {
+            "F": [str(c) for c in F],
+            "F_transformed": [str(c) for c in new_F],
+            "r": [str(r) for r in data.r_list()],
+            "r_transformed": [str(r) for r in new_data.r_list()],
+        }, None
 
     if cmd == "ak-solve":
         data = ak.SquareFiberData.make(args.p0, args.p1, args.p2)
@@ -323,21 +344,17 @@ def _payload_for(args, limits: Limits):
             "determinant": str(ak.system_determinant(data)),
             "positive": ak.check_positivity(data, sol, limits.positivity_depth),
             "integrable": ak.check_integrability(data, sol),
-        }
+        }, None
 
     if cmd == "scan":
         if args.radius > SCAN_RADIUS_BOUND:
             raise StageTooLarge(f"radius {args.radius} exceeds bound {SCAN_RADIUS_BOUND}")
-        return list(stage3_rows(args.radius))
+        rows = list(stage3_rows(args.radius))
+        if not args.csv:
+            return rows, None
+        return rows, (list(rows[0]) if rows else [], [list(row.values()) for row in rows])
 
     raise ValueError(f"unhandled command {cmd}")
-
-
-def _load_admissible(raw: str) -> adm.AdmissibleData:
-    if not raw.strip().startswith("{"):
-        with open(raw, encoding="utf-8") as fh:
-            raw = fh.read()
-    return adm.AdmissibleData.from_json(json.loads(raw))
 
 
 def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
@@ -370,68 +387,33 @@ def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
         yield row
 
 
-def _csc_family_result(args, limits: Limits) -> CommandResult:
-    tol = _given(args.tolerance, limits.csc_tolerance)
-    if args.sweep is not None:
-        text = emit_plot_data("csc-family",
-                              {"m": args.m, "sweep": args.sweep, "tolerance": tol})
-        return CommandResult(text.splitlines()[1:], 0, text=text)
-    if args.rplus is None:
-        raise ValueError("provide --rplus or --sweep")
-    roots = adm.csc_family_solve(args.m, args.rplus, tol)
-    payload = {"m": args.m, "r_plus": str(args.rplus), "roots": [str(r) for r in roots]}
-    if args.csv:
-        text = _csv(("m", "r_plus", "r_minus"),
-                    [(args.m, float(args.rplus), float(r)) for r in roots])
-        return CommandResult(payload, 0, text=text)
-    return CommandResult(payload, 0)
+def csc_sweep_rows(ms: Sequence[int], step, tolerance,
+                   second_only: bool = False) -> list[tuple[int, float, float]]:
+    """(m, r_plus, r_minus) rows of the CSC family sweep at each m, in order.
 
-
-def _cproj_result(args, limits: Limits) -> CommandResult:
-    data = _load_admissible(args.data)
-    if args.poly:
-        F = tuple(Fraction(c) for c in args.poly.split(","))
-    else:
-        F = adm.extremal_polynomial(data).F
-    if args.alpha is None:
-        raise ValueError("provide --alpha")
-    if args.trajectory:
-        text = emit_plot_data("cproj-trajectory",
-                              {"data": data, "alpha": args.alpha, "beta": args.beta,
-                               "steps": args.trajectory, "poly": F})
-        return CommandResult(text.splitlines()[1:], 0, text=text)
-    new_F, new_data = adm.cproj_transform(F, data, args.alpha, args.beta)
-    payload = {
-        "F": [str(c) for c in F],
-        "F_transformed": [str(c) for c in new_F],
-        "r": [str(r) for r in data.r_list()],
-        "r_transformed": [str(r) for r in new_data.r_list()],
-    }
-    return CommandResult(payload, 0)
+    These are the rows of `bott csc-family --sweep`, which
+    scripts/csc_family_sweep.py prints for several m.  Each m's arguments
+    are checked before its first row (admissible.csc_family_sweep), and
+    every row is computed before the list is returned.
+    """
+    return [(m, float(rp), float(root)) for m in ms
+            for rp, root in adm.csc_family_sweep(m, step, tolerance, second_only)]
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     args = _parser().parse_args(argv)
     try:
-        limits = load_limits(args.config)
-        if args.command == "csc-family":
-            return _csc_family_result(args, limits)
-        if args.command == "cproj":
-            return _cproj_result(args, limits)
-        payload = _payload_for(args, limits)
+        payload, table = _payload_for(args, load_limits(args.config))
     except tuple(DOMAIN_ERRORS) as exc:
         code = DOMAIN_ERRORS[type(exc)]
         return CommandResult({"error": code, "message": str(exc)}, 1)
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         return CommandResult({"error": "invalid_input", "message": str(exc)}, 1)
-
-    if args.command == "scan" and getattr(args, "csv", False):
-        rows = payload
-        header = list(rows[0].keys()) if rows else []
-        text = _csv(header, [[row[h] for h in header] for row in rows])
-        return CommandResult(payload, 0, text=text)
-    return CommandResult(payload, 0)
+    if table is None:
+        return CommandResult(payload, 0)
+    text = _csv(*table)
+    return CommandResult(text.splitlines()[1:] if payload is None else payload, 0, text=text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import cohomology
-from .core import DEFAULT_STAGE_BOUND, BottMatrix, StageTooLarge, canonical_form
+from .core import DEFAULT_STAGE_BOUND, BottMatrix, _check_stage_bound, canonical_form
 
 
 @dataclass(frozen=True)
@@ -217,8 +216,7 @@ def demazure_roots(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> Dem
     nested intervals; no linear system is solved.
     """
     n = A.n
-    if n > stage_bound:
-        raise StageTooLarge(f"stage {n} exceeds bound {stage_bound}")
+    _check_stage_bound(n, stage_bound)
     # column i of A below the diagonal, as (k, A[k][i]) pairs
     below = [[(k, A.rows[k][i]) for k in range(i + 1, n) if A.rows[k][i]] for i in range(n)]
     roots: set[tuple[int, ...]] = set()
@@ -250,25 +248,27 @@ def csc_obstructed(A: BottMatrix) -> tuple[bool, Optional[tuple[str, int]]]:
     """Sufficient test for the obstruction to constant scalar curvature.
 
     Fires when some row's below-diagonal entries are weakly same-signed
-    and not all zero, or when a leading principal block is a nontrivial
-    tower of topological twist zero.  When it fires the automorphism
-    group is not reductive, so no Kahler metric has constant scalar
-    curvature; when it does not, nothing follows.  The answer depends on
-    the matrix chosen for the tower: the orbit of the n = 5 tower with
-    rows (1,0,0,0,0), (0,1,0,0,0), (0,0,1,0,0), (0,-2,2,1,0),
-    (0,0,0,-1,1) has 40 members, none reductive, and the test fires on
-    20 of them.  `is_reductive` answers for the tower itself.  Returns
-    the witness found.
+    and not all zero.  When it fires the automorphism group is not
+    reductive, so no Kahler metric has constant scalar curvature; when
+    it does not, nothing follows.  The answer depends on the matrix
+    chosen for the tower: the orbit of the n = 5 tower with rows
+    (1,0,0,0,0), (0,1,0,0,0), (0,0,1,0,0), (0,-2,2,1,0), (0,0,0,-1,1)
+    has 40 members, none reductive, and the test fires on 20 of them.
+    `is_reductive` answers for the tower itself.  Returns the witness
+    ("row", i) found.
+
+    A nontrivial leading block of topological twist zero needs no test
+    of its own.  Take the block's first row i with a nonzero entry below
+    the diagonal.  The earlier x_j square to zero, so
+    alpha_i^2 = 2 sum_{j<l} A[i][j] A[i][l] x_j x_l.  With one nonzero
+    entry the row test fires on row i; with two or more alpha_i^2 != 0,
+    and the block's topological twist is at least 1.
     """
     n = A.n
     for i in range(1, n):
         below = A.rows[i][:i]
         if any(below) and (all(e >= 0 for e in below) or all(e <= 0 for e in below)):
             return True, ("row", i)
-    for m in range(2, n + 1):
-        block = A.leading_submatrix(m)
-        if not block.is_identity() and cohomology.topological_twist(block) == 0:
-            return True, ("leading_block", m)
     return False, None
 
 

@@ -16,6 +16,13 @@ from bott.cli import main, run
 from bott.core import BottMatrix
 
 KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    script = SCRIPTS / name
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    runpy.run_path(str(script), run_name="__main__")
 
 
 class TestBasicCommands:
@@ -23,6 +30,13 @@ class TestBasicCommands:
         result = run(["symplectic-count", "11", "6", "1"])
         assert result.exit_code == 0
         assert result.payload == {"N_B0": 16, "N_Bne0": 27, "N_B": 43}
+
+    def test_symplectic_census_script(self, monkeypatch, capsys):
+        run_script(monkeypatch, "symplectic_census.py", "11", "6", "1")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["weights: (11, 6, 1)", "  c == 0 branch: 16",
+                             "  c != 0 branch: 27", "  total:         43"]
+        assert len(lines) == 5 + 43
 
     def test_twist(self):
         assert run(["twist", "--stage3", "0", "1", "-1"]).payload == 1
@@ -163,8 +177,7 @@ class TestAdmissibleCommands:
         assert result.payload["r_transformed"] == ["3/5", "-2/5"]
 
     def test_cproj_trajectory(self):
-        result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19",
-                      "--trajectory", "10", "--csv"])
+        result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "10"])
         lines = result.text.strip().splitlines()
         assert lines[0] == "step,r1,r2"
         first = lines[1].split(",")
@@ -174,13 +187,48 @@ class TestAdmissibleCommands:
         assert abs(float(last[2]) + 0.4) < 1e-12
 
     def test_emit_plot_data_direct(self):
-        from bott.cli import emit_plot_data
-        text = emit_plot_data("csc-family", {"m": 1, "sweep": Fraction(1, 2)})
+        text = run(["csc-family", "--m", "1", "--sweep", "1/2"]).text
         assert text.splitlines()[0] == "m,r_plus,r_minus"
-        data = AdmissibleData.from_json(json.loads(KS_DATA))
-        text = emit_plot_data("cproj-trajectory",
-                              {"data": data, "alpha": Fraction(-5, 19), "steps": 4})
+        text = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "4"]).text
         assert len(text.splitlines()) == 6
+
+    def test_csv_only_payload_is_body_lines(self):
+        for argv in (["csc-family", "--m", "2", "--sweep", "1/4"],
+                     ["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "3"]):
+            result = run(argv)
+            assert result.exit_code == 0
+            assert result.payload == result.text.splitlines()[1:]
+
+    def test_cproj_csv_flag_removed(self):
+        # the trajectory is always CSV and the transform always JSON
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--csv"]) == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_cproj_trajectory_must_be_positive(self, steps):
+        result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", steps])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
+        assert result.text is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "2", "--rplus", "1/3", "--sweep", "1/4"], ["--m", "2"],
+    ])
+    def test_csc_family_needs_exactly_one_mode(self, argv):
+        result = run(["csc-family", *argv])
+        assert result.exit_code == 1
+        assert result.payload == {"error": "invalid_input",
+                                  "message": "provide exactly one of --rplus or --sweep"}
+
+    def test_sweep_script_prints_cli_rows(self, monkeypatch, capsys):
+        run_script(monkeypatch, "csc_family_sweep.py", "--m", "2", "--step", "1/4")
+        assert capsys.readouterr().out == \
+            run(["csc-family", "--m", "2", "--sweep", "1/4"]).text
+        run_script(monkeypatch, "csc_family_sweep.py",
+                   "--m", "1", "2", "--step", "1/4", "--second-only")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("m,r_plus,r_minus") == 1 and lines[0] == "m,r_plus,r_minus"
+        assert {line.split(",")[0] for line in lines[1:]} == {"1", "2"}
 
 
 class TestAkCommand:
@@ -241,9 +289,7 @@ class TestScan:
         assert json.loads(err.getvalue())["error"] == "stage_too_large"
 
     def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "stage3_census.py"
-        monkeypatch.setattr(sys, "argv", [str(script), "--radius", "1"])
-        runpy.run_path(str(script), run_name="__main__")
+        run_script(monkeypatch, "stage3_census.py", "--radius", "1")
         text = capsys.readouterr().out
         assert text.splitlines()[:2] == [
             "a,b,c,twist,cotwist,toptwist,p1,q_type,reductive,fano,ke,diffeo_key",
@@ -274,6 +320,13 @@ class TestErrors:
     def test_parse_error_exit_2(self):
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(["twist", "--stage3", "x", "1", "2"]) == 2
+
+    def test_stage3_and_matrix_conflict(self):
+        blob = json.dumps({"n": 3, "rows": BottMatrix.stage3(1, 2, 3).rows})
+        result = run(["twist", "--stage3", "0", "0", "0", "--matrix", blob])
+        assert result.exit_code == 1
+        assert result.payload == {"error": "invalid_input",
+                                  "message": "provide exactly one of --stage3 or --matrix"}
 
     def test_invalid_matrix(self):
         result = run(["twist", "--matrix", '{"n": 2, "rows": [[1, 5], [0, 1]]}'])

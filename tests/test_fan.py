@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bott import cohomology as coh
 from bott import fan as bfan
 from bott.core import BottMatrix, StageTooLarge, equivalence_orbit
 from conftest import (
@@ -302,6 +303,20 @@ class TestCscObstruction:
         A = lower_triangular(*shape)
         if bfan.csc_obstructed(A)[0]:
             assert not bfan.is_reductive(A)
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)),
+                             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+    @settings(max_examples=150, deadline=None)
+    def test_row_test_covers_leading_blocks(self, shape):
+        # csc_obstructed needs no leading-block test: a nontrivial leading
+        # block of topological twist zero only occurs where a row fires
+        A = lower_triangular(*shape)
+        if bfan.csc_obstructed(A)[0]:
+            return
+        for m in range(2, A.n + 1):
+            block = A.leading_submatrix(m)
+            assert block.is_identity() or coh.topological_twist(block) > 0
 
     def test_depends_on_representative(self):
         A = BottMatrix.from_rows([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],

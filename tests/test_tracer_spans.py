@@ -1,0 +1,48 @@
+"""A traced run of real commands records spans in every library layer.
+
+The benchmark tracer replaces module attributes by name, so a command
+reaches it only if `bott.cli` looks the library call up when the command
+runs.  A dispatch table bound at import time would bypass the hooks and
+leave a layer without spans; this test fails then.  benchmark/tracer.py
+is loaded from its file, as in test_tracer_hooks.py, and every hook is
+removed again at the end.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from bott import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
+
+COMMANDS = [
+    ["orbit", "--stage3", "1", "2", "3"],
+    ["twist", "--stage3", "0", "1", "-1"],
+    ["reductive", "--stage3", "0", "1", "-1"],
+    ["classes", "c", "--stage3", "3", "-1", "2"],
+    ["csc-family", "--m", "2", "--rplus", "4/5"],
+    ["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "3"],
+    ["ak-solve", "1", "2", "2"],
+]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bott_benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_commands_reach_every_layer():
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        results = [tracer.root(i, cli.run, argv) for i, argv in enumerate(COMMANDS)]
+    finally:
+        tracer.uninstall()
+    assert [r.exit_code for r in results] == [0] * len(COMMANDS)
+    layers = set(tracer.layers)
+    assert {"core", "fan", "cohomology", "admissible", "polynomials",
+            "almostkahler"} <= layers
+    assert tracer.layers.count("cli") == len(COMMANDS)

@@ -14,6 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from bott.admissible import DEFAULT_CSC_TOLERANCE
 from bott.cli import CSC_HEADER, _csv, csc_sweep_rows
 
 
@@ -21,7 +22,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", nargs="+", type=int, default=[1, 2, 3, 4])
     parser.add_argument("--step", type=Fraction, default=Fraction(1, 50))
-    parser.add_argument("--tolerance", type=Fraction, default=Fraction(1, 10 ** 12))
+    parser.add_argument("--tolerance", type=Fraction, default=DEFAULT_CSC_TOLERANCE)
     parser.add_argument("--second-only", action="store_true",
                         help="drop the balanced family from the output")
     args = parser.parse_args()

@@ -22,12 +22,15 @@ def main() -> None:
     args = parser.parse_args()
 
     k1, k2, k3 = args.k
-    n_b0, n_bne0, n_b = sp.count_compatible(k1, k2, k3)
+    try:
+        n_b0, n_bne0, n_b = sp.count_compatible(k1, k2, k3)
+        reps = sp.enumerate_compatible(k1, k2, k3)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"weights: ({k1}, {k2}, {k3})")
     print(f"  c == 0 branch: {n_b0}")
     print(f"  c != 0 branch: {n_bne0}")
     print(f"  total:         {n_b}")
-    reps = sp.enumerate_compatible(k1, k2, k3)
     scale = 2 if args.full else 1
     print("  representatives (a, b, c):")
     for a, b, c in reps:

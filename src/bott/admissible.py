@@ -44,6 +44,8 @@ from .polynomials import (
     solve_linear,
 )
 
+DEFAULT_CSC_TOLERANCE = Fraction(1, 10 ** 12)   # CSC roots are refined to within this
+
 
 class PoleHit(ZeroDivisionError):
     """Scalar curvature evaluated at a pole of the profile."""
@@ -366,7 +368,7 @@ def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, A
     |alpha| < |beta| (else the reparametrization has a pole in the
     momentum interval) and deg F <= d + 1 for a polynomial image.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    F, alpha, beta = poly(F), Fraction(alpha), Fraction(beta)
     d = data.dim
     if degree(F) > d + 1:
         raise DegreeTooHigh(f"degree {degree(F)} exceeds cap {d + 1}")

@@ -33,6 +33,7 @@ from .core import (
     equivalence_orbit,
     twist,
 )
+from .polynomials import poly
 
 DOMAIN_ERRORS = {
     StageTooLarge: "stage_too_large",
@@ -104,6 +105,13 @@ def _orbit_json(report) -> dict:
         "canonical": report.canonical.to_json(),
         "moves": moves,
     }
+
+
+def _cone_json(rows, first_orthant: bool) -> dict:
+    """Each integer row of `fan.kahler_cone` as the inequality coeffs . r > 0."""
+    return {"inequalities": [{"coeffs": [str(c) for c in row], "rhs": "0", "strict": True}
+                             for row in rows],
+            "first_orthant": first_orthant}
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -248,13 +256,10 @@ def _payload_for(args, limits: Limits):
     if cmd == "cone":
         A = _load_matrix(args)
         if args.scan_bases:
-            return {choice: {"inequalities": [q.to_json() for q in ineqs],
-                             "first_orthant": flag}
-                    for choice, (ineqs, flag) in bfan.kahler_cone_scan(A).items()}, None
+            return {choice: _cone_json(*cone)
+                    for choice, cone in bfan.kahler_cone_scan(A).items()}, None
         basis = args.basis or "u" * A.n
-        ineqs, flag = bfan.kahler_cone(A, basis)
-        return {"basis": basis, "inequalities": [q.to_json() for q in ineqs],
-                "first_orthant": flag}, None
+        return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis))}, None
 
     if cmd == "roots":
         A = _load_matrix(args)
@@ -307,8 +312,10 @@ def _payload_for(args, limits: Limits):
 
     if cmd == "cproj":
         data = adm.AdmissibleData.from_json(_json_arg(args.data))
-        if args.poly:
-            F = tuple(Fraction(c) for c in args.poly.split(","))
+        if args.poly is not None:
+            if not args.poly.strip():
+                raise ValueError("--poly needs at least one coefficient")
+            F = poly(Fraction(c) for c in args.poly.split(","))
         else:
             F = adm.extremal_polynomial(data).F
         if args.alpha is None:

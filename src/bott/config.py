@@ -14,16 +14,20 @@ import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
+from .admissible import DEFAULT_CSC_TOLERANCE
+from .almostkahler import DEFAULT_POSITIVITY_DEPTH
+from .core import DEFAULT_STAGE_BOUND
+
 ENV_VAR = "BOTT_CONFIG"
 INT_FIELDS = ("orbit_stage_bound", "root_stage_bound", "positivity_depth")
 
 
 @dataclass(frozen=True)
 class Limits:
-    orbit_stage_bound: int = 8
-    root_stage_bound: int = 8
-    positivity_depth: int = 20
-    csc_tolerance: Fraction = Fraction(1, 10 ** 12)
+    orbit_stage_bound: int = DEFAULT_STAGE_BOUND
+    root_stage_bound: int = DEFAULT_STAGE_BOUND
+    positivity_depth: int = DEFAULT_POSITIVITY_DEPTH
+    csc_tolerance: Fraction = DEFAULT_CSC_TOLERANCE
 
 
 def load_limits(path: str | None = None) -> Limits:

@@ -47,7 +47,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 class StageTooLarge(ValueError):
-    """Raised when an enumeration is requested above the stage bound."""
+    """Raised when an enumeration is requested above its bound."""
 
 
 @dataclass(frozen=True, order=True)

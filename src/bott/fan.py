@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .core import DEFAULT_STAGE_BOUND, BottMatrix, _check_stage_bound, canonical_form
 
@@ -32,69 +32,59 @@ class SupportFunction:
     def from_values(cls, s: Sequence, t: Sequence) -> "SupportFunction":
         return cls(tuple(Fraction(v) for v in s), tuple(Fraction(v) for v in t))
 
-    @classmethod
-    def ones(cls, n: int) -> "SupportFunction":
-        one = (Fraction(1),) * n
-        return cls(one, one)
+    def at(self, kind: str, j: int) -> Fraction:
+        """The value on the ray u_j (kind "u") or v_j (kind "v")."""
+        return self.s[j] if kind == "u" else self.t[j]
 
 
-class BottFan:
-    """Normal fan data of a height-n Bott tower."""
+def rays(A: BottMatrix) -> list[tuple[str, int, tuple[int, ...]]]:
+    """(kind, j, vector) for u_1..u_n and then v_1..v_n, in v-coordinates."""
+    n = A.n
+    return ([("u", j, tuple(-A.rows[i][j] for i in range(n))) for j in range(n)]
+            + [("v", j, tuple(int(i == j) for i in range(n))) for j in range(n)])
 
-    def __init__(self, A: BottMatrix):
-        self.A = A
-        self.n = A.n
-        # u_j in v-coordinates; entries vanish above index j
-        self.u = tuple(tuple(-A.rows[i][j] for i in range(self.n)) for j in range(self.n))
 
-    def v_vector(self, j: int) -> tuple[int, ...]:
-        return tuple(1 if i == j else 0 for i in range(self.n))
+def cone_coordinates(A: BottMatrix, w: Sequence) -> list[tuple[str, int, Any]]:
+    """Express w in a maximal cone containing it, as (kind, j, c) with c > 0.
 
-    def u_vector(self, j: int) -> tuple[int, ...]:
-        return self.u[j]
-
-    def rays(self) -> list[tuple[str, int, tuple[int, ...]]]:
-        out = [("u", j, self.u[j]) for j in range(self.n)]
-        out += [("v", j, self.v_vector(j)) for j in range(self.n)]
-        return out
-
-    def opposite_pair_sum(self, j: int) -> tuple[int, ...]:
-        """u_j + v_j, the relation vector of the j-th primitive collection."""
-        return tuple(0 if i == j else -self.A.rows[i][j] for i in range(self.n))
-
-    def cone_coordinates(self, w: Sequence) -> list[tuple[str, int, Fraction]]:
-        """Express w in a maximal cone containing it.
-
-        Forward substitution: the residual j-th coordinate decides
-        between v_j (nonnegative) and u_j (negative); picking u_j feeds
-        A's column j back into the later coordinates.  When a residual
-        coordinate vanishes the choice is immaterial, so the resulting
-        piecewise-linear evaluation is wall-consistent.
-        """
-        res = [Fraction(c) for c in w]
-        if len(res) != self.n:
-            raise ValueError("vector has wrong dimension")
-        out = []
-        for j in range(self.n):
-            c = res[j]
-            if c > 0:
-                out.append(("v", j, c))
-            elif c < 0:
-                out.append(("u", j, -c))
-                for i in range(j + 1, self.n):
-                    res[i] += -c * self.A.rows[i][j]
-            res[j] = Fraction(0)
-        return out
-
-    def eval_support(self, psi: SupportFunction, w: Sequence) -> Fraction:
-        total = Fraction(0)
-        for kind, j, c in self.cone_coordinates(w):
-            total += c * (psi.s[j] if kind == "u" else psi.t[j])
-        return total
+    Forward substitution: the residual j-th coordinate decides between
+    v_j (positive) and u_j (negative); picking u_j feeds A's column j back
+    into the later coordinates.  A vanishing residual makes the choice
+    immaterial, so the evaluation is wall-consistent.  The coefficients
+    keep the number type of w: integers in give integers out.
+    """
+    n = A.n
+    res = list(w)
+    if len(res) != n:
+        raise ValueError("vector has wrong dimension")
+    out = []
+    for j in range(n):
+        c = res[j]
+        if c > 0:
+            out.append(("v", j, c))
+        elif c < 0:
+            out.append(("u", j, -c))
+            for i in range(j + 1, n):
+                res[i] -= c * A.rows[i][j]
+    return out
 
 
 def eval_support(A: BottMatrix, psi: SupportFunction, w: Sequence) -> Fraction:
-    return BottFan(A).eval_support(psi, w)
+    return sum((c * psi.at(kind, j) for kind, j, c in
+                cone_coordinates(A, [Fraction(x) for x in w])), Fraction(0))
+
+
+def primitive_relations(A: BottMatrix) -> list[list[tuple[str, int, int]]]:
+    """The primitive relations u_j + v_j = sum c rho, one term list per j.
+
+    The pairs {u_j, v_j} are the primitive collections, and u_j + v_j is
+    written in the cone that contains it.  Every c is a positive integer
+    and every term sits at a stage later than j, because u_j + v_j has
+    the integer entries -A[i][j] at the stages i > j and 0 elsewhere.
+    """
+    n = A.n
+    return [cone_coordinates(A, [-A.rows[i][j] if i > j else 0 for i in range(n)])
+            for j in range(n)]
 
 
 def is_ample(A: BottMatrix, psi: SupportFunction, strict: bool = True) -> bool:
@@ -104,86 +94,72 @@ def is_ample(A: BottMatrix, psi: SupportFunction, strict: bool = True) -> bool:
     opposite pair; these are the convexity inequalities on the primitive
     collections, and they only depend on the divisor class.
     """
-    fan = BottFan(A)
-    for j in range(A.n):
+    for j, relation in enumerate(primitive_relations(A)):
         lhs = psi.s[j] + psi.t[j]
-        rhs = fan.eval_support(psi, fan.opposite_pair_sum(j))
-        if strict:
-            if not lhs > rhs:
-                return False
-        elif not lhs >= rhs:
+        rhs = sum(c * psi.at(kind, m) for kind, m, c in relation)
+        if not (lhs > rhs if strict else lhs >= rhs):
             return False
     return True
 
 
-@dataclass(frozen=True)
-class ConeInequality:
-    """coeffs . r > rhs (>= when strict is False) on the basis coefficients."""
+def is_fano(A: BottMatrix) -> bool:
+    """Whether the anticanonical class is ample.
 
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    strict: bool = True
-
-    def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs], "rhs": str(self.rhs),
-                "strict": self.strict}
+    The anticanonical support function is 1 on every ray, so the
+    primitive relation of u_j + v_j must have degree 2 - sum c > 0.
+    """
+    return all(sum(c for _, _, c in relation) < 2 for relation in primitive_relations(A))
 
 
-def kahler_cone(A: BottMatrix, basis_choice: str) -> tuple[list[ConeInequality], bool]:
+def kahler_cone(A: BottMatrix, basis_choice: str) -> tuple[list[tuple[int, ...]], bool]:
     """Ample-cone inequalities in the divisor basis D_1 = D_{u_1}, D_j in {u_j, v_j}.
 
     basis_choice is a string of 'u'/'v' of length n whose first letter
     must be 'u' (the classes of D_{u_1} and D_{v_1} agree).  Returns the
-    inequality list in the coefficients r_1..r_n together with a flag
-    telling whether they cut out exactly the first orthant.
+    integer rows `coeffs` of the strict inequalities coeffs . r > 0 in
+    the coefficients r_1..r_n, together with a flag telling whether they
+    cut out exactly the first orthant.
     """
     n = A.n
     if len(basis_choice) != n or any(ch not in "uv" for ch in basis_choice):
         raise ValueError("basis choice must be a string of 'u'/'v' of length n")
     if basis_choice[0] != "u":
         raise ValueError("the first basis divisor is fixed to be D_{u_1}")
-    return _cone_in_basis(_pair_coordinates(A), basis_choice)
+    return _cone_in_basis(primitive_relations(A), basis_choice)
 
 
-def _pair_coordinates(A: BottMatrix) -> list[list[tuple[str, int, Fraction]]]:
-    """The terms (kind, m, -c) of cone_coordinates(u_j + v_j), for each j.
-
-    They do not depend on the basis choice.  Every m is later than j,
-    because u_j + v_j vanishes at the stages up to j.
-    """
-    fan = BottFan(A)
-    return [[(kind, m, -c) for kind, m, c in fan.cone_coordinates(fan.opposite_pair_sum(j))]
-            for j in range(A.n)]
-
-
-def _cone_in_basis(pairs: list[list[tuple[str, int, Fraction]]],
-                   basis_choice: str) -> tuple[list[ConeInequality], bool]:
-    """Row j is e_j minus the coordinates of u_j + v_j on the basis divisors."""
-    n = len(pairs)
-    zero, one = Fraction(0), Fraction(1)
-    inequalities = []
+def _cone_in_basis(relations: list[list[tuple[str, int, int]]],
+                   basis_choice: str) -> tuple[list[tuple[int, ...]], bool]:
+    """Row j is e_j minus the relation coefficients on the basis divisors."""
+    n = len(relations)
+    rows = []
     first_orthant = True
-    for j, terms in enumerate(pairs):
-        coeffs = [zero] * n
-        coeffs[j] = one
-        for kind, m, negated in terms:
+    for j, relation in enumerate(relations):
+        row = [0] * n
+        row[j] = 1
+        for kind, m, c in relation:
             if basis_choice[m] == kind:
-                coeffs[m] = negated
+                row[m] = -c
                 first_orthant = False
-        inequalities.append(ConeInequality(tuple(coeffs), zero))
-    return inequalities, first_orthant
+        rows.append(tuple(row))
+    return rows, first_orthant
 
 
-def kahler_cone_scan(A: BottMatrix) -> dict[str, tuple[list[ConeInequality], bool]]:
+def kahler_cone_scan(A: BottMatrix) -> dict[str, tuple[list[tuple[int, ...]], bool]]:
     """Inequalities for each of the 2^(n-1) distinct generator bases."""
-    pairs = _pair_coordinates(A)
+    relations = primitive_relations(A)
     choices = ("u" + "".join(tail) for tail in itertools.product("uv", repeat=A.n - 1))
-    return {choice: _cone_in_basis(pairs, choice) for choice in choices}
+    return {choice: _cone_in_basis(relations, choice) for choice in choices}
 
 
 def ample_cone_is_first_orthant(A: BottMatrix) -> bool:
-    """True when some generator basis realizes the cone as the full orthant."""
-    return any(flag for _, flag in kahler_cone_scan(A).values())
+    """True when some generator basis realizes the cone as the full orthant.
+
+    Such a basis picks, at each stage, a ray that no relation uses there;
+    it fails only at a stage where the relations use both u and v.
+    """
+    used = {(kind, m) for relation in primitive_relations(A) for kind, m, _ in relation}
+    return not any(("u", m) in used and ("v", m) in used for m in range(A.n))
 
 
 @dataclass(frozen=True)
@@ -270,15 +246,6 @@ def csc_obstructed(A: BottMatrix) -> tuple[bool, Optional[tuple[str, int]]]:
         if any(below) and (all(e >= 0 for e in below) or all(e <= 0 for e in below)):
             return True, ("row", i)
     return False, None
-
-
-def is_fano(A: BottMatrix) -> bool:
-    """Whether the anticanonical class is ample.
-
-    The anticanonical divisor is the sum of all invariant divisors, so
-    its support function is 1 on every ray.
-    """
-    return is_ample(A, SupportFunction.ones(A.n), strict=True)
 
 
 _KE_STAGE3 = (BottMatrix.identity(3), BottMatrix.stage3(0, 1, -1))

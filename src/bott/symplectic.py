@@ -17,7 +17,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import cohomology
-from .core import BottMatrix, equivalence_orbit
+from .core import BottMatrix, StageTooLarge, equivalence_orbit
+
+# Refusal bounds, sized so that every accepted count or enumeration answers
+# in about 1 s on a 2-core x86 host.
+MAX_CEILING_TERMS = 50_000     # ceil(k1/k3): the terms of the N_B0 sum
+MAX_REPRESENTATIVES = 50_000   # N_B: the towers an enumeration lists
 
 
 def _as_fraction(value) -> Fraction:
@@ -105,11 +110,15 @@ def count_compatible(k1, k2, k3) -> tuple[int, int, int]:
 
     N_B0 sums ceil((k1 - j k3)/k2) over 0 <= j <= b_max and N_Bne0 sums
     ceil(k1/(k2 - j k3)) over 1 <= j <= c_max, where b_max and c_max are
-    the largest j keeping the respective bracket positive.
+    the largest j keeping the respective bracket positive.  Past
+    MAX_CEILING_TERMS terms it raises StageTooLarge.
     """
     k1, k2, k3 = map(_as_fraction, (k1, k2, k3))
     _check_ordered(k1, k2, k3)
-    b_max = math.ceil(k1 / k3) - 1
+    terms = math.ceil(k1 / k3)
+    if terms > MAX_CEILING_TERMS:
+        raise StageTooLarge(f"ceil(k1/k3) = {terms} exceeds bound {MAX_CEILING_TERMS}")
+    b_max = terms - 1
     c_max = math.ceil(k2 / k3) - 1
     n_b0 = sum(math.ceil((k1 - j * k3) / k2) for j in range(b_max + 1))
     n_bne0 = sum(math.ceil(k1 / (k2 - j * k3)) for j in range(1, c_max + 1))
@@ -120,10 +129,13 @@ def enumerate_compatible(k1, k2, k3) -> list[tuple[int, int, int]]:
     """Sign-normalized compatible towers (a, b, c), halved parameters.
 
     The c = 0 representatives take a, b >= 0; the c != 0 ones take
-    a >= 0, c > 0 and b = a c.  Their number matches count_compatible.
+    a >= 0, c > 0 and b = a c.  Their number matches count_compatible,
+    which is taken first: past MAX_REPRESENTATIVES it raises StageTooLarge.
     """
     k1, k2, k3 = map(_as_fraction, (k1, k2, k3))
-    _check_ordered(k1, k2, k3)
+    n_b = count_compatible(k1, k2, k3)[2]
+    if n_b > MAX_REPRESENTATIVES:
+        raise StageTooLarge(f"N_B = {n_b} exceeds bound {MAX_REPRESENTATIVES}")
     out = []
     b = 0
     while k1 - b * k3 > 0:

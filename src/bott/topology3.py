@@ -63,24 +63,8 @@ def stage3_invariants(a: int, b: int, c: int) -> Stage3Invariants:
 
 
 def stage3_diffeomorphic(t1: Sequence[int], t2: Sequence[int]) -> bool:
-    """Decide diffeomorphism of M_3(a,b,c) and M_3(a',b',c')."""
-    i1 = stage3_invariants(*t1)
-    i2 = stage3_invariants(*t2)
-    if i1.q_trivial != i2.q_trivial:
-        return False
-    if i1.q_trivial:
-        return i1.q_trivial_type == i2.q_trivial_type
-    a, b, c = t1
-    a2, b2, c2 = t2
-    if abs(i1.p) != abs(i2.p):
-        return False
-    if a % 2 != a2 % 2:
-        return False
-    if a % 2 == 0 and ((1 + b) * (1 + c)) % 2 != ((1 + b2) * (1 + c2)) % 2:
-        return False
-    if c % 2 == 0 and c2 % 2 == 0 and b % 2 != b2 % 2:
-        return False
-    return True
+    """Decide diffeomorphism of M_3(a,b,c) and M_3(a',b',c') by their keys."""
+    return stage3_invariants(*t1).diffeo_key() == stage3_invariants(*t2).diffeo_key()
 
 
 def twist1_diffeomorphic(k: Sequence[int], k2: Sequence[int]) -> bool:

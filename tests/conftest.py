@@ -12,8 +12,9 @@ positivity is certified on Fraction boxes with Fraction interval bounds,
 real roots are isolated with Sturm chains over Fraction coefficients
 (Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
-values, and twist-one diffeomorphism is decided by trying every
-permutation.
+values, stage-3 diffeomorphism is decided invariant by invariant
+without the canonical key, and twist-one diffeomorphism is decided by
+trying every permutation.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from bott.core import (
     permutation_conjugate,
     transposition,
 )
-from bott.fan import BottFan, SupportFunction
+from bott.fan import SupportFunction, rays
 from bott.polynomials import (
     Poly,
     definite_integral,
@@ -52,6 +53,7 @@ from bott.polynomials import (
     ppow,
     pscale,
 )
+from bott.topology3 import stage3_invariants
 
 
 def lower_triangular(n, entries):
@@ -81,11 +83,10 @@ def fractions(max_num=9, max_den=4):
 def support_eval_oracle(A: BottMatrix, psi: SupportFunction, w) -> Fraction:
     """Evaluate psi at w by scanning all 2^n maximal cones."""
     n = A.n
-    fan = BottFan(A)
+    vectors = {(kind, j): vec for kind, j, vec in rays(A)}
     values = []
     for choice in itertools.product("uv", repeat=n):
-        cols = [fan.u_vector(j) if choice[j] == "u" else fan.v_vector(j)
-                for j in range(n)]
+        cols = [vectors[choice[j], j] for j in range(n)]
         coeffs = _solve(cols, [Fraction(x) for x in w])
         if coeffs is None or any(c < 0 for c in coeffs):
             continue
@@ -111,6 +112,27 @@ def _solve(cols, rhs):
                 f = aug[r][col]
                 aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def stage3_diffeomorphic_oracle(t1, t2) -> bool:
+    """Stage-3 diffeomorphism decided invariant by invariant, with no key."""
+    i1 = stage3_invariants(*t1)
+    i2 = stage3_invariants(*t2)
+    if i1.q_trivial != i2.q_trivial:
+        return False
+    if i1.q_trivial:
+        return i1.q_trivial_type == i2.q_trivial_type
+    a, b, c = t1
+    a2, b2, c2 = t2
+    if abs(i1.p) != abs(i2.p):
+        return False
+    if a % 2 != a2 % 2:
+        return False
+    if a % 2 == 0 and ((1 + b) * (1 + c)) % 2 != ((1 + b2) * (1 + c2)) % 2:
+        return False
+    if c % 2 == 0 and c2 % 2 == 0 and b % 2 != b2 % 2:
+        return False
+    return True
 
 
 def orbit_closure_oracle(A: BottMatrix) -> set[BottMatrix]:
@@ -170,7 +192,7 @@ def demazure_roots_vertex_oracle(A: BottMatrix) -> set[tuple[int, ...]]:
     C(2n-1, n-1) Fraction systems per ray.
     """
     n = A.n
-    normals = [vec for _, _, vec in BottFan(A).rays()]
+    normals = [vec for _, _, vec in rays(A)]
     roots = set()
     for idx, n_rho in enumerate(normals):
         others = normals[:idx] + normals[idx + 1:]

@@ -11,6 +11,7 @@ import pytest
 
 from bott import cli
 from bott import cohomology as coh
+from bott import symplectic as sp
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
 from bott.core import BottMatrix
@@ -83,6 +84,11 @@ class TestBasicCommands:
         payload = run(["cone", "--stage3", "-1", "2", "-3", "--basis", "uuu"]).payload
         assert payload["first_orthant"] is False
         assert payload["inequalities"][0]["coeffs"] == ["1", "0", "-2"]
+
+    def test_inequality_json(self):
+        payload = run(["cone", "--stage3", "-1", "2", "-3", "--basis", "uuu"]).payload
+        assert payload["inequalities"][0] == {"coeffs": ["1", "0", "-2"], "rhs": "0",
+                                              "strict": True}
 
     def test_cone_scan(self):
         payload = run(["cone", "--stage3", "0", "0", "0", "--scan-bases"]).payload
@@ -175,6 +181,22 @@ class TestAdmissibleCommands:
     def test_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19"])
         assert result.payload["r_transformed"] == ["3/5", "-2/5"]
+
+    def test_cproj_poly_trailing_zeros_keep_degree(self):
+        # degree 1, padded with zeros past the degree cap 4 of this data
+        padded = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--poly", "1,2,0,0,0,0"])
+        assert padded.exit_code == 0
+        short = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--poly", "1,2"])
+        assert padded.payload == short.payload
+
+    def test_cproj_poly_is_echoed_normalized(self):
+        result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--poly", "1,2,0,0"])
+        assert result.payload["F"] == ["1", "2"]
+
+    def test_cproj_empty_poly_refused(self):
+        result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--poly", ""])
+        assert result.exit_code == 1
+        assert result.payload["error"] == "invalid_input"
 
     def test_cproj_trajectory(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "10"])
@@ -371,6 +393,24 @@ class TestErrors:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["extremal-poly", "--data", blob]) == 1
         assert json.loads(err.getvalue())["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("argv", [
+        ["symplectic-count", "1000", "1", "1/1000"],       # ceil(k1/k3) = 10^6
+        ["symplectic-count", "50001", "1", "1"],
+        ["symplectic-count", "316", "1", "1", "--enumerate"],   # N_B = 50,086
+        ["compat-enumerate", "316", "1", "1"],
+    ])
+    def test_symplectic_bounds_refuse(self, argv):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.payload["error"] == "stage_too_large"
+
+    def test_symplectic_bounds_largest_accepted(self):
+        assert sp.MAX_CEILING_TERMS == 50_000 and sp.MAX_REPRESENTATIVES == 50_000
+        count = run(["symplectic-count", "50000", "1", "1"])
+        assert count.exit_code == 0 and count.payload["N_B"] == 50_000 * 50_001 // 2
+        enum = run(["compat-enumerate", "315", "1", "1"])
+        assert enum.exit_code == 0 and enum.payload["count"] == 315 * 316 // 2
 
     def test_singular_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha", "1", "--beta", "1"])

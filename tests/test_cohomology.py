@@ -165,6 +165,18 @@ class TestPontrjagin:
         assert p.graded_part(2) == a_n * a_n + a_top * a_top
         assert p.graded_part(4) == (a_n * a_n) * (a_top * a_top)
 
+    @given(bott_matrices(min_stage=1, max_stage=8, max_entry=3))
+    @settings(max_examples=30, deadline=None)
+    def test_p1_is_c1_squared_minus_twice_c2(self, A):
+        # p_1 = c_1^2 - 2 c_2 holds for every complex manifold; for a Bott
+        # manifold it is also the sum of the alpha_k^2
+        R = coh.ring(A)
+        c = R.chern_total()
+        c1, c2 = c.graded_part(1), c.graded_part(2)
+        p1 = R.pontrjagin_total().graded_part(2)
+        assert p1 == c1 * c1 - 2 * c2
+        assert p1 == sum((R.alpha(k) * R.alpha(k) for k in range(A.n)), R.zero())
+
     @given(bott_matrices(min_stage=2, max_stage=5, max_entry=3))
     @settings(max_examples=40, deadline=None)
     def test_vanishing_above_twist(self, A):

@@ -79,7 +79,7 @@ class TestAmpleness:
 
     def test_nef_vs_ample(self):
         A = M3(1, 1, 1)
-        psi = bfan.SupportFunction.ones(3)
+        psi = bfan.SupportFunction.from_values([1, 1, 1], [1, 1, 1])
         assert bfan.is_ample(A, psi, strict=False) or not bfan.is_ample(A, psi)
 
     def test_convexity_matches_nef(self):
@@ -88,9 +88,10 @@ class TestAmpleness:
         for _ in range(50):
             A = M3(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
             psi = random_psi(3, rng)
-            fan = bfan.BottFan(A)
+            vectors = [vec for _, _, vec in bfan.rays(A)]
             weak = all(
-                psi.s[j] + psi.t[j] >= fan.eval_support(psi, fan.opposite_pair_sum(j))
+                psi.s[j] + psi.t[j] >= bfan.eval_support(
+                    A, psi, [x + y for x, y in zip(vectors[j], vectors[3 + j])])
                 for j in range(3))
             assert bfan.is_ample(A, psi, strict=False) == weak
 
@@ -120,9 +121,9 @@ class TestKahlerCone:
         # nonpositive first twisting with b > 0 > c: u-basis needs r1 > b r3
         ineqs, flag = bfan.kahler_cone(M3(-1, 2, -3), "uuu")
         assert not flag
-        assert ineqs[0].coeffs == (1, 0, Fraction(-2))
+        assert ineqs[0] == (1, 0, -2)
         ineqs, _ = bfan.kahler_cone(M3(-1, 2, -3), "uuv")
-        assert ineqs[1].coeffs == (0, 1, Fraction(-3))
+        assert ineqs[1] == (0, 1, -3)
 
     def test_hirzebruch_always_first_quadrant(self):
         for a in range(-5, 6):
@@ -131,10 +132,7 @@ class TestKahlerCone:
     def test_twist_one_mixed(self):
         ineqs, flag = bfan.kahler_cone(BottMatrix.twist_one((-2, 1, 1)), "uuuv")
         assert not flag
-        assert ineqs[0].coeffs == (1, 0, 0, Fraction(-2))
-        assert ineqs[1].coeffs == (0, 1, 0, 0)
-        assert ineqs[2].coeffs == (0, 0, 1, 0)
-        assert ineqs[3].coeffs == (0, 0, 0, 1)
+        assert ineqs == [(1, 0, 0, -2), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_two_step_special_tower(self):
         q, k = 2, 3
@@ -142,10 +140,7 @@ class TestKahlerCone:
             [1, 0, 0, 0], [0, 1, 0, 0],
             [q, -q, 1, 0], [q * (k + 1), q * (k - 1), 2, 1]])
         ineqs, _ = bfan.kahler_cone(A, "uuvv")
-        assert ineqs[0].coeffs == (1, 0, 0, 0)
-        assert ineqs[1].coeffs == (0, 1, Fraction(-q), 0)
-        assert ineqs[2].coeffs == (0, 0, 1, 0)
-        assert ineqs[3].coeffs == (0, 0, 0, 1)
+        assert ineqs == [(1, 0, 0, 0), (0, 1, -q, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def test_basis_must_start_with_u(self):
         with pytest.raises(ValueError):
@@ -158,12 +153,36 @@ class TestKahlerCone:
     @settings(max_examples=25, deadline=None)
     def test_scan_matches_each_basis(self, A):
         choices = ["u" + "".join(t) for t in itertools.product("uv", repeat=A.n - 1)]
-        assert bfan.kahler_cone_scan(A) == {c: bfan.kahler_cone(A, c) for c in choices}
+        scan = bfan.kahler_cone_scan(A)
+        assert scan == {c: bfan.kahler_cone(A, c) for c in choices}
+        for rows, _ in scan.values():
+            assert all(type(row) is tuple and len(row) == A.n for row in rows)
+            assert all(type(c) is int for row in rows for c in row)
 
-    def test_inequality_json(self):
-        ineqs, _ = bfan.kahler_cone(M3(-1, 2, -3), "uuu")
-        blob = ineqs[0].to_json()
-        assert blob == {"coeffs": ["1", "0", "-2"], "rhs": "0", "strict": True}
+    @given(bott_matrices(min_stage=1, max_stage=7, max_entry=3))
+    @settings(max_examples=40, deadline=None)
+    def test_first_orthant_matches_scan(self, A):
+        scan = bfan.kahler_cone_scan(A)
+        assert bfan.ample_cone_is_first_orthant(A) == any(flag for _, flag in scan.values())
+
+
+class TestPrimitiveRelations:
+    @given(bott_matrices(min_stage=1, max_stage=7, max_entry=4))
+    @settings(max_examples=40, deadline=None)
+    def test_relations_hold_in_integers(self, A):
+        n = A.n
+        vectors = {(kind, j): vec for kind, j, vec in bfan.rays(A)}
+        for j, relation in enumerate(bfan.primitive_relations(A)):
+            lhs = [x + y for x, y in zip(vectors["u", j], vectors["v", j])]
+            rhs = [sum(c * vectors[kind, m][i] for kind, m, c in relation) for i in range(n)]
+            assert lhs == rhs
+            assert all(type(c) is int and c > 0 and m > j for _, m, c in relation)
+            assert len({m for _, m, _ in relation}) == len(relation)
+
+    def test_hirzebruch(self):
+        # u_1 + v_1 = -a v_2 for a < 0 and a u_2 for a > 0
+        assert bfan.primitive_relations(BottMatrix.stage2(-3)) == [[("v", 1, 3)], []]
+        assert bfan.primitive_relations(BottMatrix.stage2(2)) == [[("u", 1, 2)], []]
 
 
 class TestDemazureRoots:
@@ -235,7 +254,7 @@ class TestDemazureRoots:
 
     @staticmethod
     def assert_root_definition(A):
-        normals = [vec for _, _, vec in bfan.BottFan(A).rays()]
+        normals = [vec for _, _, vec in bfan.rays(A)]
         roots = bfan.demazure_roots(A).roots
         for chi in roots:
             values = [sum(u * v for u, v in zip(n, chi)) for n in normals]
@@ -350,6 +369,13 @@ class TestFano:
                     from bott.cohomology import topological_twist
                     if topological_twist(A) == 0 and bfan.is_fano(A):
                         assert A.is_identity()
+
+    @given(bott_matrices(min_stage=1, max_stage=7, max_entry=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_ample_anticanonical(self, A):
+        # the integer degree test against the Fraction support-function path
+        ones = bfan.SupportFunction.from_values([1] * A.n, [1] * A.n)
+        assert bfan.is_fano(A) == bfan.is_ample(A, ones)
 
     @given(bott_matrices(min_stage=2, max_stage=3, max_entry=2))
     @settings(max_examples=25, deadline=None)

@@ -19,32 +19,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from functools import reduce
+from itertools import accumulate
+from math import ceil, comb, lcm, prod
 from typing import Iterator, Sequence
 
+from .core import StageTooLarge
 from .polynomials import (
-    ONE,
+    IntPoly,
     Poly,
     SingularSystem,  # re-exported: the CLI maps it to singular_system
     count_roots_open,
     degree,
+    exact_quotient,
+    homogeneous_value,
+    ilin,
+    imul,
     lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
+    over,
     pdiv_exact,
     pderiv,
     peval,
-    pinteg,
-    pmul,
-    pneg,
     poly,
-    ppow,
-    pscale,
-    psub,
-    padd,
     roots_in_interval,
     solve_linear,
 )
 
 DEFAULT_CSC_TOLERANCE = Fraction(1, 10 ** 12)   # CSC roots are refined to within this
+
+# Refusal bounds (StageTooLarge): with denominators below 100 one accepted
+# profile or CSC solve answers in about 1 s on a 2-core x86 host.
+MAX_DIM = 24              # total dimension 1 + sum d_a of admissible data
+MAX_CSC_M = 16            # m of the CSC obstruction, a polynomial of degree 2m
+MAX_SWEEP_POINTS = 1000   # the ceil(1/step) - 1 solves of a CSC sweep
 
 
 class PoleHit(ZeroDivisionError):
@@ -75,6 +82,8 @@ class AdmissibleData:
                 raise ValueError("fiber dimensions must be positive")
             if not 0 < abs(r) < 1:
                 raise ValueError("parameters must satisfy 0 < |r| < 1")
+        if self.dim > MAX_DIM:
+            raise StageTooLarge(f"dimension {self.dim} exceeds bound {MAX_DIM}")
 
     @classmethod
     def make(cls, components: Sequence[tuple[int, object, object]]) -> "AdmissibleData":
@@ -101,10 +110,8 @@ class AdmissibleData:
         return 1 + sum(d for d, _, _ in self.components)
 
     def p_c(self) -> Poly:
-        out = ONE
-        for d, _, r in self.components:
-            out = pmul(out, ppow(poly([1, r]), d))
-        return out
+        P, Q, _, _ = _profile_parts(self)
+        return over(P, Q)
 
     def r_list(self) -> tuple[Fraction, ...]:
         return tuple(r for _, _, r in self.components)
@@ -142,13 +149,33 @@ class ExtremalProfile:
                 "A3": str(self.intercept)}
 
 
+def _profile_parts(data: AdmissibleData) -> tuple[IntPoly, int, IntPoly, int]:
+    """(P, Q, S, T): p_c = P / Q and the curvature source is S / (Q T).
+
+    With r_a = n_a / q_a and s_a = sigma_a / tau_a: P is the product of the
+    (q_a + n_a z)^(d_a), Q that of the q_a^(d_a), T the lcm of the tau_a,
+    and S the sum of 2 d_a n_a sigma_a (T / tau_a) P / (q_a + n_a z).
+    """
+    P = reduce(imul, [(r.denominator, r.numerator)
+                      for d, _, r in data.components for _ in range(d)], (1,))
+    Q = prod(r.denominator ** d for d, _, r in data.components)
+    T = lcm(*(s.denominator for _, s, _ in data.components))
+    S = ilin(*((2 * d * r.numerator * s.numerator * (T // s.denominator),
+                exact_quotient(P, (r.denominator, r.numerator)))
+               for d, s, r in data.components))
+    return P, Q, S, T
+
+
 def _curvature_source(data: AdmissibleData) -> Poly:
     """p_c(z) * sum_a 2 d_a s_a r_a / (1 + r_a z), a polynomial."""
-    pc = data.p_c()
-    out: Poly = ()
-    for d, s, r in data.components:
-        out = padd(out, pscale(pdiv_exact(pc, poly([1, r])), 2 * d * s * r))
-    return out
+    _, Q, S, T = _profile_parts(data)
+    return over(S, Q * T)
+
+
+def _ends(f: IntPoly) -> tuple[int, ...]:
+    """f(1), f(-1), f'(1) and f'(-1)."""
+    df = tuple(i * c for i, c in enumerate(f))[1:]
+    return tuple(homogeneous_value(h, x, 1) for h in (f, df) for x in (1, -1))
 
 
 def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
@@ -156,29 +183,30 @@ def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
 
     F'' = source - (A1 z + A3) p_c is integrated twice; the slope, the
     intercept and the two integration constants solve the four endpoint
-    equations F(+-1) = 0, F'(+-1) = -+ 2 p_c(+-1).
+    equations F(+-1) = 0, F'(+-1) = -+ 2 p_c(+-1).  Both integrations are
+    in integers over one denominator L Q T, L the lcm of the (i + 1)(i + 2),
+    and only the endpoint values (each equation times L Q T) enter
+    solve_linear.
     """
-    pc = data.p_c()
-    g2 = pinteg(pinteg(_curvature_source(data)))
-    p1 = pinteg(pinteg(pmul(poly([0, 1]), pc)))
-    p0 = pinteg(pinteg(pc))
-    g2d, p1d, p0d = pderiv(g2), pderiv(p1), pderiv(p0)
-    one = Fraction(1)
-    rows = [
-        [-peval(p1, 1), -peval(p0, 1), one, one],
-        [-peval(p1, -1), -peval(p0, -1), -one, one],
-        [-peval(p1d, 1), -peval(p0d, 1), one, Fraction(0)],
-        [-peval(p1d, -1), -peval(p0d, -1), one, Fraction(0)],
-    ]
-    rhs = [
-        -peval(g2, 1),
-        -peval(g2, -1),
-        -peval(g2d, 1) - 2 * peval(pc, 1),
-        -peval(g2d, -1) + 2 * peval(pc, -1),
-    ]
+    P, Q, S, T = _profile_parts(data)
+    L = lcm(*((i + 1) * (i + 2) for i in range(len(P) + 1)))
+    den = L * Q * T
+
+    def twice(f: IntPoly, c: int = 1) -> IntPoly:   # c L times the double antiderivative
+        return (0, 0) + tuple(c * a * (L // ((i + 1) * (i + 2))) for i, a in enumerate(f))
+
+    g2, t1, t0 = twice(S), twice((0,) + P, T), twice(P, T)     # G2, P1, P0 over den
+    (g, e1, e0), ep = map(_ends, (g2, t1, t0)), _ends(P)
+    unit, zero = Fraction(den), Fraction(0)
+    rows = [[Fraction(-e1[k]), Fraction(-e0[k]), -unit if k == 1 else unit,
+             unit if k < 2 else zero] for k in range(4)]
+    rhs = [Fraction(x) for x in (-g[0], -g[1], -g[2] - 2 * L * T * ep[0],
+                                 -g[3] + 2 * L * T * ep[1])]
     a1, a3, c1, c0 = solve_linear(rows, rhs)
-    F = padd(psub(g2, padd(pscale(p1, a1), pscale(p0, a3))), poly([c0, c1]))
-    return ExtremalProfile(F, a1, a3)
+    D = lcm(a1.denominator, a3.denominator, c1.denominator, c0.denominator)
+    k1, k3, kc1, kc0 = (D // x.denominator * x.numerator for x in (a1, a3, c1, c0))
+    F = ilin((D, g2), (-k1, t1), (-k3, t0), (den * kc0, (1,)), (den * kc1, (0, 1)))
+    return ExtremalProfile(over(F, den * D), a1, a3)
 
 
 def scalar_profile(profile: ExtremalProfile, data: AdmissibleData, z) -> Fraction:
@@ -194,16 +222,19 @@ def scalar_profile(profile: ExtremalProfile, data: AdmissibleData, z) -> Fractio
 
 
 def is_positive_on_interval(F: Poly) -> bool:
-    """Whether F > 0 on the open interval (-1, 1); F must vanish at +-1."""
+    """Whether F > 0 on the open interval (-1, 1); F must vanish at +-1.
+
+    F is scaled to integers, (1 - z^2) is divided out exactly in Z, and
+    the integer Sturm chain counts the roots of the quotient.
+    """
     if not F:
         return False
-    if peval(F, 1) != 0 or peval(F, -1) != 0:
+    den = lcm(*(c.denominator for c in F))
+    f = [c.numerator * (den // c.denominator) for c in F]
+    if _ends(f)[:2] != (0, 0):
         raise ValueError("polynomial must vanish at the endpoints")
-    core = pdiv_exact(pdiv_exact(F, poly([1, 1])), poly([-1, 1]))
-    core = pneg(core)  # F = (1 - z^2) * core
-    if not core:
-        return False
-    if peval(core, 0) <= 0:
+    core = exact_quotient(f, (1, 0, -1))   # F = (1 - z^2) * core
+    if core[0] <= 0:
         return False
     return count_roots_open(core, -1, 1) == 0
 
@@ -234,6 +265,8 @@ def _csc_args(m: int, r_plus) -> Fraction:
     """Check the balanced CSC parameters; r_plus comes back as a Fraction."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
+    if m > MAX_CSC_M:
+        raise StageTooLarge(f"m = {m} exceeds bound {MAX_CSC_M}")
     rp = Fraction(r_plus)
     if not 0 < rp < 1:
         raise ValueError("r_plus must lie in (0, 1)")
@@ -259,16 +292,34 @@ def csc_condition(m: int, r_plus, r_minus) -> Fraction:
     return peval(csc_condition_polynomial(m, r_plus), rm)
 
 
-def _moment(n: int, rp: Fraction, k: int) -> Poly:
-    """The integral of z^k (1 + rp z)^n (1 + rm z)^n over [-1, 1], in rm.
+def _moment_row(n: int, k: int, a: int, b: int, lam: int) -> IntPoly:
+    """b^n lam times the integral of z^k (1 + rp z)^n (1 + rm z)^n over [-1, 1], in rm.
 
-    The coefficient of rm^j is C(n, j) sum_i C(n, i) rp^i I(i + j + k),
-    where I(e), the integral of z^e, is 2/(e + 1) for even e and 0 for odd e.
+    With rp = a/b the coefficient of rm^j is C(n, j) sum_i C(n, i) a^i
+    b^(n - i) 2 lam / (e + 1), e = i + j + k even (the integral of z^e).
     """
-    plus = [comb(n, i) * rp ** i for i in range(n + 1)]
-    return poly(comb(n, j) * sum(a * Fraction(2, i + j + k + 1)
-                                 for i, a in enumerate(plus) if (i + j + k) % 2 == 0)
-                for j in range(n + 1))
+    plus = [comb(n, i) * a ** i * b ** (n - i) for i in range(n + 1)]
+    return tuple(comb(n, j) * sum(c * (2 * lam // (i + j + k + 1))
+                                  for i, c in enumerate(plus) if (i + j + k) % 2 == 0)
+                 for j in range(n + 1))
+
+
+def _csc_obstruction(m: int, r_plus) -> tuple[IntPoly, int]:
+    """(g, den): the CSC obstruction is g / den, with g in Z[r_minus]."""
+    rp = _csc_args(m, r_plus)
+    a, b = rp.numerator, rp.denominator
+    lam = lcm(*range(1, 2 * m + 2))
+    row = [comb(m, j) * lam for j in range(m + 1)]
+    at_plus = tuple((b + a) ** m * c for c in row)                   # P(1)
+    at_minus = tuple((b - a) ** m * (-1) ** j * c for j, c in enumerate(row))  # P(-1)
+    drift = (2 * m * a, -2 * m * b)                                  # 2m b (rp - rm)
+    alpha0, alpha1, q0, q1 = (_moment_row(n, k, a, b, lam) for n in (m, m - 1) for k in (0, 1))
+    beta0 = ilin((1, at_plus), (1, at_minus), (1, imul(drift, q0)))
+    beta1 = ilin((1, at_plus), (-1, at_minus), (1, imul(drift, q1)))
+    g = ilin((1, imul(alpha0, beta1)), (-1, imul(alpha1, beta0)))
+    if homogeneous_value(g, -a, b) != 0:
+        raise ArithmeticError("expanded CSC obstruction misses the root r_minus = -r_plus")
+    return g, (b ** m * lam) ** 2
 
 
 def csc_condition_polynomial(m: int, r_plus) -> Poly:
@@ -278,35 +329,23 @@ def csc_condition_polynomial(m: int, r_plus) -> Poly:
     alpha_k is the integral of z^k P over [-1, 1], and beta_0, beta_1 are
     P(1) + P(-1) and P(1) - P(-1), each plus 2m (r_plus - r_minus) times
     the integral of z^k Q.  Each term is expanded in r_minus with binomial
-    coefficients (see _moment), so the result is exact by construction, has
-    degree at most 2m, and csc_condition evaluates it at r_minus.  The
+    coefficients (see _moment_row), in integers over b^m lcm(1..2m+1) for
+    r_plus = a/b, so the result is exact and has degree at most 2m.  The
     balanced family r_minus = -r_plus is always a root; the expansion is
     checked against it and raises ArithmeticError if it misses.
     """
-    rp = _csc_args(m, r_plus)
-    row = [comb(m, j) for j in range(m + 1)]
-    at_plus = pscale(poly(row), (1 + rp) ** m)                       # P(1)
-    at_minus = pscale(poly((-1) ** j * c for j, c in enumerate(row)),
-                      (1 - rp) ** m)                                 # P(-1)
-    drift = poly([2 * m * rp, -2 * m])                               # 2m (rp - rm)
-    alpha0, alpha1 = _moment(m, rp, 0), _moment(m, rp, 1)
-    beta0 = padd(padd(at_plus, at_minus), pmul(drift, _moment(m - 1, rp, 0)))
-    beta1 = padd(psub(at_plus, at_minus), pmul(drift, _moment(m - 1, rp, 1)))
-    g = psub(pmul(alpha0, beta1), pmul(alpha1, beta0))
-    if peval(g, -rp) != 0:
-        raise ArithmeticError("expanded CSC obstruction misses the root r_minus = -r_plus")
-    return g
+    return over(*_csc_obstruction(m, r_plus))
 
 
 def csc_family_solve(m: int, r_plus, tolerance) -> list[Fraction]:
     """All roots of the CSC obstruction in r_minus over (-1, 0).
 
-    Roots are isolated with Sturm sequences on the exact polynomial and
-    refined by sign bisection to within the tolerance, so double points
-    (family crossings) are found as well.
+    Roots are isolated with Sturm sequences on the exact integer
+    polynomial and refined by sign bisection to within the tolerance, so
+    double points (family crossings) are found as well.
     """
     tol = _tolerance(tolerance)
-    g = csc_condition_polynomial(m, r_plus)
+    g, _ = _csc_obstruction(m, r_plus)
     if not g:
         raise ArithmeticError("obstruction vanished identically")
     return roots_in_interval(g, Fraction(-1), Fraction(0), tol)
@@ -341,11 +380,13 @@ def csc_family_sweep(m: int, step, tolerance,
 
     The roots are those of csc_family_solve, or of csc_second_family_roots
     when second_only is set.  The arguments are checked before the first
-    row is produced; the step must lie in (0, 1).
+    row: the step lies in (0, 1) and gives at most MAX_SWEEP_POINTS r_plus.
     """
     step = Fraction(step)
     if not 0 < step < 1:
         raise ValueError("sweep step must lie in (0, 1)")
+    if ceil(1 / step) - 1 > MAX_SWEEP_POINTS:
+        raise StageTooLarge(f"{ceil(1 / step) - 1} sweep points exceed bound {MAX_SWEEP_POINTS}")
     _csc_args(m, step)
     _tolerance(tolerance)
     solve = csc_second_family_roots if second_only else csc_family_solve
@@ -366,7 +407,10 @@ def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, A
     normalized by (beta^2 - alpha^2) prod (beta - alpha r_a)^{d_a}, and
     each parameter r to (beta r - alpha)/(beta - alpha r).  Requires
     |alpha| < |beta| (else the reparametrization has a pole in the
-    momentum interval) and deg F <= d + 1 for a polynomial image.
+    momentum interval) and deg F <= d + 1 for a polynomial image.  In
+    integers, with alpha = A/e, beta = B/e and r_a = n_a/q_a, the image is
+    prod q_a^(d_a) sum_k (-1)^k F_k (A - B z)^k (B - A z)^(d+1-k) over
+    (B^2 - A^2) prod (B q_a - A n_a)^(d_a).
     """
     F, alpha, beta = poly(F), Fraction(alpha), Fraction(beta)
     d = data.dim
@@ -374,22 +418,22 @@ def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, A
         raise DegreeTooHigh(f"degree {degree(F)} exceeds cap {d + 1}")
     if beta * beta <= alpha * alpha:
         raise SingularParameters("need |alpha| < |beta|")
-    denom = beta * beta - alpha * alpha
+    e = lcm(alpha.denominator, beta.denominator)
+    A, B = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
     new_r = []
-    for _, _, r in data.components:
-        if beta - alpha * r == 0:
-            raise SingularParameters("parameter pole: beta = alpha * r")
-        if beta * r - alpha == 0:
-            raise SingularParameters("parameter collapses to zero")
-        new_r.append((beta * r - alpha) / (beta - alpha * r))
+    scale, denom = 1, B * B - A * A
     for d_a, _, r in data.components:
-        denom *= (beta - alpha * r) ** d_a
-    a_poly = poly([alpha, -beta])   # alpha - beta z
-    b_poly = poly([beta, -alpha])   # beta - alpha z
-    out: Poly = ()
-    for k, coeff in enumerate(F):
-        if not coeff:
-            continue
-        term = pmul(ppow(a_poly, k), ppow(b_poly, d + 1 - k))
-        out = padd(out, pscale(term, coeff if k % 2 == 0 else -coeff))
-    return pscale(out, 1 / denom), data.with_r(new_r)
+        pole, image = B * r.denominator - A * r.numerator, B * r.numerator - A * r.denominator
+        if pole == 0:
+            raise SingularParameters("parameter pole: beta = alpha * r")
+        if image == 0:
+            raise SingularParameters("parameter collapses to zero")
+        new_r.append(Fraction(image, pole))
+        scale *= r.denominator ** d_a
+        denom *= pole ** d_a
+    a_pows = list(accumulate([(A, -B)] * (len(F) - 1), imul, initial=(1,)))
+    b_pows = list(accumulate([(B, -A)] * (d + 1), imul, initial=(1,)))
+    f_den = lcm(*(c.denominator for c in F))
+    out = ilin(*(((-1) ** k * scale * c.numerator * (f_den // c.denominator),
+                  imul(a_pows[k], b_pows[d + 1 - k])) for k, c in enumerate(F) if c))
+    return over(out, f_den * denom), data.with_r(new_r)

@@ -15,18 +15,18 @@ and reduces to a 6 x 6 linear system in (a11, a12, a22, A1, A2, A3).
 Its determinant factors exactly as
 -96 (2 p0 + p1 + p2) (6 p0^2 + 6 p0 p1 + p1^2 + 6 p0 p2 + 3 p1 p2 + p2^2),
 which is nonzero whenever Q is positive on the square, so the solution
-is unique.  Positivity of the metric is certified by exact dyadic
-subdivision.  The complex-structure integrability conditions on the
-inverse matrix are polynomial identities over det(P)^2, so they are
-decided exactly by expanding both sides (they fail for p1, p2 > 0: the
-metrics are genuinely almost Kahler).
+is unique.  Positivity of the metric is certified from Bernstein
+coefficients under exact dyadic subdivision.  The complex-structure
+integrability conditions on the inverse matrix are polynomial identities
+over det(P)^2, so they are decided exactly by expanding both sides (they
+fail for p1, p2 > 0: the metrics are genuinely almost Kahler).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, perm
 
 from .polynomials import Poly2, poly as upoly, psub, solve_linear
 
@@ -129,47 +129,62 @@ def extremal_residual(data: SquareFiberData, sol: AkSolution) -> Poly2:
     return lhs - affine * data.q_poly()
 
 
+def _bernstein(poly: Poly2) -> list[list[int]]:
+    """Tensor Bernstein coefficients on [0, 1]^2 of degrees (dx, dy), times dx! dy! den.
+
+    In one variable, n! b_k = sum_(i <= k) k!/(k - i)! (n - i)! c_i.
+    """
+    dx = max((i for i, _ in poly.num), default=0)
+    dy = max((j for _, j in poly.num), default=0)
+    wx = [[perm(k, i) * factorial(dx - i) for i in range(k + 1)] for k in range(dx + 1)]
+    wy = [[perm(l, j) * factorial(dy - j) for j in range(l + 1)] for l in range(dy + 1)]
+    return [[sum(wx[k][i] * wy[l][j] * c for (i, j), c in poly.num.items()
+                 if i <= k and j <= l) for l in range(dy + 1)] for k in range(dx + 1)]
+
+
+def _halves(b: list[int]) -> tuple[list[int], list[int]]:
+    """de Casteljau at 1/2: the coefficients on the two halves, times 2^n."""
+    n = len(b) - 1
+    left, right = [], []
+    for r in range(n + 1):
+        left.append(b[0] << (n - r))
+        right.append(b[-1] << (n - r))
+        b = [u + v for u, v in zip(b, b[1:])]
+    return left, right[::-1]
+
+
+def _quarters(grid: list[list[int]]) -> list[list[list[int]]]:
+    """The coefficients on the quarter boxes (z1, z2) = (low, low), (high,
+    low), (low, high), (high, high), times 2^(dx + dy); the first one's
+    entry [dx][dy] is the value at the centre."""
+    by_z2 = [_halves(row) for row in grid]
+    out = []
+    for half in (0, 1):
+        columns = [_halves(col) for col in zip(*(h[half] for h in by_z2))]
+        out += [list(zip(*(c[z1_half] for c in columns))) for z1_half in (0, 1)]
+    return out
+
+
 def _certify_sign(poly: Poly2, depth: int) -> bool:
     """True if poly > 0 on the open unit square, False if it is not.
 
-    Dyadic subdivision with exact interval bounds; a nonpositive exact
-    value at an interior rational point decides negatively.  Raises
-    Inconclusive at the depth cap (touching zeros cannot be separated).
-
-    The work is in integers.  With the coefficients scaled by their
-    common denominator L to integers C and total degree D, the box
-    (a, b, d) = [a, a+1] x [b, b+1] / 2^d has lower bound, times the
-    positive L 2^(dD), sum C a^i b^j 2^(d(D-i-j)) with a + 1 and b + 1
-    in place of a and b where C < 0; the same homogenized sum at
-    (2a+1, 2b+1, 2^(d+1)) is the sign of the value at the box centre.
-    Boxes are visited depth first, children in the order
-    (2a, 2b), (2a+1, 2b), (2a, 2b+1), (2a+1, 2b+1).
+    A box is certified when all of poly's Bernstein coefficients on it,
+    integers with one positive scale, are positive (their convex hull holds
+    the range; Garloff 1986).  Else a nonpositive value at its centre
+    decides False, or it is split there by de Casteljau, depth first.
+    Raises Inconclusive at the depth cap (touching zeros cannot be separated).
     """
-    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
-    top = max((i + j for i, j in poly.coeffs), default=0)
-    terms = [(c.numerator * (scale // c.denominator), i, j, top - i - j)
-             for (i, j), c in poly.coeffs.items()]
-    positive = [t for t in terms if t[0] > 0]
-    negative = [t for t in terms if t[0] < 0]
-
-    def homogeneous(part, x: int, y: int, w: int) -> int:
-        return sum(c * x ** i * y ** j * w ** k for c, i, j, k in part)
-
-    if homogeneous(terms, 1, 1, 2) <= 0:
-        return False
-    boxes = [(0, 0, 0)]
+    boxes = [(_bernstein(poly), 0)]
     while boxes:
-        a, b, d = boxes.pop()
-        w = 1 << d
-        if homogeneous(positive, a, b, w) + homogeneous(negative, a + 1, b + 1, w) > 0:
+        grid, d = boxes.pop()
+        if all(c > 0 for row in grid for c in row):
             continue
-        a, b = 2 * a, 2 * b
-        if homogeneous(terms, a + 1, b + 1, 2 * w) <= 0:
+        quarters = _quarters(grid)
+        if quarters[0][-1][-1] <= 0:
             return False
         if d >= depth:
             raise Inconclusive("sign not certified within the refinement cap")
-        d += 1
-        boxes.extend([(a, b, d), (a + 1, b, d), (a, b + 1, d), (a + 1, b + 1, d)])
+        boxes.extend((q, d + 1) for q in quarters)
     return True
 
 

@@ -45,6 +45,7 @@ DOMAIN_ERRORS = {
 }
 
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
+TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -325,6 +326,9 @@ def _payload_for(args, limits: Limits):
             steps = args.trajectory
             if steps < 1:
                 raise ValueError("--trajectory must be a positive integer")
+            if steps > TRAJECTORY_BOUND:
+                raise StageTooLarge(f"trajectory of {steps} steps exceeds bound "
+                                    f"{TRAJECTORY_BOUND}")
             rows = []
             for step in range(steps + 1):
                 if step == 0:

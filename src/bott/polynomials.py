@@ -2,7 +2,9 @@
 
 Univariate polynomials are tuples of Fractions, constant term first,
 normalized so the leading coefficient is nonzero (the zero polynomial is
-the empty tuple).
+the empty tuple).  Large polynomials are built in integers instead: an
+IntPoly over one positive denominator kept beside it (imul, ilin), with
+`over` forming one Fraction per coefficient at the end.
 
 Real roots are found on integer polynomials.  roots_in_interval scales p
 by a positive rational to coprime integer coefficients, takes its
@@ -15,17 +17,19 @@ multiple of the classical Sturm polynomial, so sign variations are
 unchanged and the coefficients do not grow along the chain.  The sign of
 an integer polynomial at x = p/q (q > 0) is the sign of the homogenized
 sum of c_i p^i q^(d - i), so no Fraction arithmetic happens per
-evaluation.  Multiple roots are reported once; exact rational roots come
-back exactly, others within the requested tolerance.
+evaluation; refine_root keeps its bracket as two integer numerators over
+a denominator that doubles with each halving.  Multiple roots are
+reported once; exact rational roots come back exactly, others within
+the requested tolerance.
 
 solve_linear is the package's one exact linear solver: Gauss-Jordan
 elimination over Fractions for the small square systems of the
 admissible and square-fiber solvers.
 
-Poly2 is a thin bivariate companion (dict of (i, j) -> Fraction) with
-just the operations the square-fiber solver needs: ring arithmetic,
-partial derivatives, substitution and interval bounds over a box with
-nonnegative corners.
+Poly2 is a thin bivariate companion, also integers over one denominator,
+with just the operations the square-fiber solver needs: ring arithmetic,
+partial derivatives, evaluation and substitution.  Its positivity on the
+unit square is certified in the Bernstein basis (almostkahler).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ def poly(coeffs: Iterable) -> Poly:
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
-Z: Poly = (Fraction(0), Fraction(1))
 
 
 def degree(p: Poly) -> int:
@@ -150,6 +153,43 @@ def definite_integral(p: Poly, a, b) -> Fraction:
 IntPoly = tuple[int, ...]
 
 
+def imul(p: IntPoly, q: IntPoly) -> IntPoly:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def ilin(*terms: tuple[int, IntPoly]) -> IntPoly:
+    """The sum of c * p over the (c, p) terms, trailing zeros stripped."""
+    out = [0] * max((len(p) for _, p in terms), default=0)
+    for c, p in terms:
+        for i, a in enumerate(p):
+            out[i] += c * a
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def over(num: Sequence[int], den: int) -> Poly:
+    """num / den as a rational polynomial: one Fraction per coefficient."""
+    return tuple(Fraction(c, den) for c in ilin((1, num)))
+
+
+def homogeneous_value(f: Sequence[int], num: int, den: int) -> int:
+    """den^deg f times f(num / den): the sum of c_i num^i den^(deg - i)."""
+    acc = 0
+    power = 1
+    for c in reversed(f):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
 def _content_free(ints: Sequence[int]) -> IntPoly:
     """ints, not all zero, divided by their positive gcd."""
     content = gcd(*ints)
@@ -198,7 +238,7 @@ def _int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return _content_free(a) if a else ()
 
 
-def _exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
+def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
     rem = list(a)
     deg_b = len(b) - 1
     quo = [0] * (len(a) - deg_b)
@@ -221,7 +261,7 @@ def _squarefree(f: IntPoly) -> IntPoly:
     g = _int_gcd(f, _int_deriv(f))
     if len(g) == 1:
         return f
-    return _exact_quotient(f, g if g[-1] > 0 else tuple(-c for c in g))
+    return exact_quotient(f, g if g[-1] > 0 else tuple(-c for c in g))
 
 
 def _sturm_chain(p: Poly) -> list[IntPoly]:
@@ -242,12 +282,7 @@ def _sturm_chain(p: Poly) -> list[IntPoly]:
 
 def _sign_at(f: IntPoly, x: Fraction) -> int:
     """Sign of f(p/q) from the homogenized sum of c_i p^i q^(d - i), q > 0."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    power = 1
-    for c in reversed(f):
-        acc = acc * num + c * power
-        power *= den
+    acc = homogeneous_value(f, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -348,16 +383,21 @@ def refine_root(p: Poly, lo, hi, tol, chain: Sequence[IntPoly] | None = None) ->
         return lo
     if _sign_at(sf, hi) == 0:
         return hi
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        smid = _sign_at(sf, mid)
+    # the bracket is [a, b] / den; halving it doubles den and keeps b - a
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    width, tol_num = (b - a) * tol.denominator, tol.numerator
+    while width > tol_num * den:
+        mid = a + b
+        den *= 2
+        smid = homogeneous_value(sf, mid, den)
         if smid == 0:
-            return mid
-        if smid == slo:
-            lo = mid
+            return Fraction(mid, den)
+        if (smid > 0) == (slo > 0):
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    mid = (lo + hi) / 2
+            a, b = 2 * a, mid
+    lo, hi, mid = Fraction(a, den), Fraction(b, den), Fraction(a + b, 2 * den)
     for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
         snap = mid.limit_denominator(bound)
         if lo <= snap <= hi and _sign_at(sf, snap) == 0:
@@ -420,17 +460,33 @@ def solve_linear(rows: Sequence[Sequence[Fraction]],
 
 
 class Poly2:
-    """Bivariate polynomial with exact rational coefficients."""
+    """Bivariate polynomial num / den: integer coefficients over one denominator.
 
-    __slots__ = ("coeffs",)
+    num maps (i, j) to the nonzero coefficient of z1^i z2^j, and den > 0 is
+    their smallest common denominator (each operation divides out
+    gcd(den, *num) once), so equal polynomials have equal (num, den).
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[key] = c
+        coeffs = {key: Fraction(c) for key, c in (coeffs or {}).items()}
+        self.den = lcm(*(c.denominator for c in coeffs.values()))   # then gcd(den, *num) = 1
+        self.num = {key: c.numerator * (self.den // c.denominator)
+                    for key, c in coeffs.items() if c}
+
+    @classmethod
+    def _of(cls, num: dict[tuple[int, int], int], den: int) -> "Poly2":
+        num = {key: c for key, c in num.items() if c}
+        g = gcd(den, *num.values())
+        out = cls.__new__(cls)
+        out.num, out.den = {key: c // g for key, c in num.items()} if g > 1 else num, den // g
+        return out
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        """The rational coefficients, as a new dict."""
+        return {key: Fraction(c, self.den) for key, c in self.num.items()}
 
     @classmethod
     def constant(cls, c) -> "Poly2":
@@ -438,19 +494,21 @@ class Poly2:
 
     @classmethod
     def var(cls, which: int) -> "Poly2":
-        return cls({(1, 0) if which == 0 else (0, 1): Fraction(1)})
+        return cls._of({(1, 0) if which == 0 else (0, 1): 1}, 1)
 
     def __add__(self, other) -> "Poly2":
         other = other if isinstance(other, Poly2) else Poly2.constant(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly2(out)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        num = {key: c * mine for key, c in self.num.items()}
+        for key, c in other.num.items():
+            num[key] = num.get(key, 0) + c * theirs
+        return Poly2._of(num, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        return Poly2({k: -c for k, c in self.coeffs.items()})
+        return Poly2._of({key: -c for key, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly2":
         other = other if isinstance(other, Poly2) else Poly2.constant(other)
@@ -461,58 +519,57 @@ class Poly2:
 
     def __mul__(self, other) -> "Poly2":
         if not isinstance(other, Poly2):
-            return Poly2({k: Fraction(other) * c for k, c in self.coeffs.items()})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
+            c = Fraction(other)
+            return Poly2._of({key: c.numerator * v for key, v in self.num.items()},
+                             self.den * c.denominator)
+        num: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.num.items():
+            for (i2, j2), c2 in other.num.items():
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly2(out)
+                num[key] = num.get(key, 0) + c1 * c2
+        return Poly2._of(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         other = other if isinstance(other, Poly2) else Poly2.constant(other)
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def diff(self, which: int) -> "Poly2":
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if which == 0 and i:
-                out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + i * c
-            elif which == 1 and j:
-                out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + j * c
-        return Poly2(out)
+        di, dj = (1, 0) if which == 0 else (0, 1)
+        return Poly2._of({(i - di, j - dj): (i, j)[which] * c
+                          for (i, j), c in self.num.items() if (i, j)[which]}, self.den)
 
     def eval(self, x, y) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            total += c * x ** i * y ** j
-        return total
+        y = Fraction(y)
+        num, den = self._substitute(x, 0)
+        return Fraction(homogeneous_value(num, y.numerator, y.denominator),
+                        den * y.denominator ** max(len(num) - 1, 0))
+
+    def _substitute(self, value, which: int) -> tuple[list[int], int]:
+        """(ints, den): the polynomial in the other variable at z_(which+1) = value."""
+        p, q = Fraction(value).as_integer_ratio()
+        top = max((key[which] for key in self.num), default=0)
+        out: dict[int, int] = {}
+        for key, c in self.num.items():
+            e, rest = key[which], key[1 - which]
+            out[rest] = out.get(rest, 0) + c * p ** e * q ** (top - e)
+        return [out.get(k, 0) for k in range(max(out, default=-1) + 1)], self.den * q ** top
 
     def substitute_x(self, x) -> Poly:
-        x = Fraction(x)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.coeffs.items():
-            out[j] = out.get(j, Fraction(0)) + c * x ** i
-        return poly(out.get(j, Fraction(0)) for j in range(max(out, default=-1) + 1))
+        return over(*self._substitute(x, 0))
 
     def substitute_y(self, y) -> Poly:
-        y = Fraction(y)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c * y ** j
-        return poly(out.get(i, Fraction(0)) for i in range(max(out, default=-1) + 1))
+        return over(*self._substitute(y, 1))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "Poly2(0)"
         terms = [f"{c}*z1^{i}*z2^{j}" for (i, j), c in sorted(self.coeffs.items())]
         return "Poly2(" + " + ".join(terms) + ")"

@@ -8,7 +8,10 @@ by breadth-first search over the generator moves or found by trying all
 member, cohomology products rewrite exponent vectors with x_k^2 ->
 -alpha_k x_k, the square-fiber linear system is re-derived from the extremal
 equation itself, integrability is sampled on a grid of rational points,
-positivity is certified on Fraction boxes with Fraction interval bounds,
+positivity is certified on Fraction boxes with Fraction interval bounds
+and on integer boxes with monomial bounds, the extremal profile, its
+c-projective image and the CSC expansion are computed with Fraction
+polynomials, Poly2 is checked against a dict of Fractions,
 real roots are isolated with Sturm chains over Fraction coefficients
 (Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
@@ -40,18 +43,22 @@ from bott.core import (
 from bott.fan import SupportFunction, rays
 from bott.polynomials import (
     Poly,
+    SingularSystem,
     definite_integral,
     degree,
     lagrange_interpolate,
+    padd,
     pdiv_exact,
     pdivmod,
     pderiv,
     peval,
+    pinteg,
     pmul,
     pneg,
     poly,
     ppow,
     pscale,
+    psub,
 )
 from bott.topology3 import stage3_invariants
 
@@ -641,6 +648,135 @@ def csc_family_solve_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
     return roots_in_interval_oracle(g, Fraction(-1), Fraction(0), tolerance)
 
 
+# -- the admissible layer over Fractions ---------------------------------------
+
+def p_c_oracle(data) -> Poly:
+    out = poly([1])
+    for d, _, r in data.components:
+        out = pmul(out, ppow(poly([1, r]), d))
+    return out
+
+
+def extremal_polynomial_oracle(data) -> tuple[Poly, Fraction, Fraction]:
+    """(F, A1, A3) by the 4 x 4 endpoint solve over Fraction polynomials.
+
+    The curvature source and p_c are multiplied out term by term,
+    integrated twice with Fraction coefficients, and the endpoint system
+    is solved by this module's own elimination.
+    """
+    pc = p_c_oracle(data)
+    source = ()
+    for d, s, r in data.components:
+        source = padd(source, pscale(pdiv_exact(pc, poly([1, r])), 2 * d * s * r))
+    g2 = pinteg(pinteg(source))
+    p1 = pinteg(pinteg(pmul(poly([0, 1]), pc)))
+    p0 = pinteg(pinteg(pc))
+    g2d, p1d, p0d = pderiv(g2), pderiv(p1), pderiv(p0)
+    one, zero = Fraction(1), Fraction(0)
+    rows = [
+        [-peval(p1, 1), -peval(p0, 1), one, one],
+        [-peval(p1, -1), -peval(p0, -1), -one, one],
+        [-peval(p1d, 1), -peval(p0d, 1), one, zero],
+        [-peval(p1d, -1), -peval(p0d, -1), one, zero],
+    ]
+    rhs = [-peval(g2, 1), -peval(g2, -1),
+           -peval(g2d, 1) - 2 * peval(pc, 1), -peval(g2d, -1) + 2 * peval(pc, -1)]
+    solution = _solve([list(col) for col in zip(*rows)], rhs)
+    if solution is None:
+        raise SingularSystem("linear system is singular")
+    a1, a3, c1, c0 = solution
+    F = padd(psub(g2, padd(pscale(p1, a1), pscale(p0, a3))), poly([c0, c1]))
+    return F, a1, a3
+
+
+def is_positive_on_interval_oracle(F: Poly) -> bool:
+    """(1 - z^2) divided out over Fractions; roots counted by the Fraction Sturm chain."""
+    if not F:
+        return False
+    if peval(F, 1) != 0 or peval(F, -1) != 0:
+        raise ValueError("polynomial must vanish at the endpoints")
+    core = pneg(pdiv_exact(pdiv_exact(F, poly([1, 1])), poly([-1, 1])))
+    return peval(core, 0) > 0 and count_roots_open_oracle(core, -1, 1) == 0
+
+
+def cproj_transform_oracle(F: Poly, data, alpha, beta) -> tuple[Poly, tuple[Fraction, ...]]:
+    """(image of F, new parameters) with Fraction powers of alpha - beta z and
+    beta - alpha z; the arguments are not range-checked."""
+    F, alpha, beta = poly(F), Fraction(alpha), Fraction(beta)
+    d = data.dim
+    denom = beta * beta - alpha * alpha
+    for d_a, _, r in data.components:
+        denom *= (beta - alpha * r) ** d_a
+    out = ()
+    for k, coeff in enumerate(F):
+        term = pmul(ppow(poly([alpha, -beta]), k), ppow(poly([beta, -alpha]), d + 1 - k))
+        out = padd(out, pscale(term, coeff if k % 2 == 0 else -coeff))
+    return (pscale(out, 1 / denom),
+            tuple((beta * r - alpha) / (beta - alpha * r) for _, _, r in data.components))
+
+
+def csc_condition_expansion_oracle(m: int, rp: Fraction) -> Poly:
+    """The binomial expansion of the obstruction in r_minus, over Fractions:
+    the coefficient of rm^j in the integral of z^k P is C(m, j) sum_i C(m, i)
+    rp^i 2/(i + j + k + 1) over the even i + j + k."""
+    def moment(n: int, k: int) -> Poly:
+        return poly(math.comb(n, j) * sum(math.comb(n, i) * rp ** i * Fraction(2, i + j + k + 1)
+                                          for i in range(n + 1) if (i + j + k) % 2 == 0)
+                    for j in range(n + 1))
+
+    row = [math.comb(m, j) for j in range(m + 1)]
+    at_plus = pscale(poly(row), (1 + rp) ** m)
+    at_minus = pscale(poly((-1) ** j * c for j, c in enumerate(row)), (1 - rp) ** m)
+    drift = poly([2 * m * rp, -2 * m])
+    beta0 = padd(padd(at_plus, at_minus), pmul(drift, moment(m - 1, 0)))
+    beta1 = padd(psub(at_plus, at_minus), pmul(drift, moment(m - 1, 1)))
+    return psub(pmul(moment(m, 0), beta1), pmul(moment(m, 1), beta0))
+
+
+# -- Poly2 over a dict of Fractions -----------------------------------------------
+
+class FractionPoly2:
+    """The bivariate ring over a dict (i, j) -> nonzero Fraction."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {key: Fraction(c) for key, c in coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return FractionPoly2(out)
+
+    def __neg__(self):
+        return FractionPoly2({key: -c for key, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPoly2):
+            return FractionPoly2({key: c * other for key, c in self.coeffs.items()})
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return FractionPoly2(out)
+
+    def diff(self, which: int):
+        out = {}
+        for (i, j), c in self.coeffs.items():
+            e = (i, j)[which]
+            if e:
+                key = (i - 1, j) if which == 0 else (i, j - 1)
+                out[key] = out.get(key, 0) + e * c
+        return FractionPoly2(out)
+
+    def eval(self, x, y) -> Fraction:
+        return sum((c * Fraction(x) ** i * Fraction(y) ** j
+                    for (i, j), c in self.coeffs.items()), Fraction(0))
+
+
 # -- positivity by Fraction subdivision -----------------------------------------
 
 def bounds_on_box_oracle(poly, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
@@ -664,7 +800,7 @@ def bounds_on_box_oracle(poly, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
 
 
 def certify_sign_oracle(poly, depth: int) -> bool:
-    """almostkahler._certify_sign with Fraction boxes and Fraction bounds:
+    """certify_sign_monomial_oracle with Fraction boxes and Fraction bounds:
     the same depth-first subdivision, and Inconclusive at the same box."""
     center = poly.eval(Fraction(1, 2), Fraction(1, 2))
     if center <= 0:
@@ -685,6 +821,46 @@ def certify_sign_oracle(poly, depth: int) -> bool:
             (x0, mx, y0, my, d + 1), (mx, x1, y0, my, d + 1),
             (x0, mx, my, y1, d + 1), (mx, x1, my, y1, d + 1),
         ])
+    return True
+
+
+def certify_sign_monomial_oracle(poly, depth: int) -> bool:
+    """The sign test by integer monomial bounds, in the box order of
+    almostkahler._certify_sign.
+
+    With the coefficients scaled by their common denominator L to
+    integers C and total degree D, the box (a, b, d) = [a, a+1] x
+    [b, b+1] / 2^d has lower bound, times the positive L 2^(dD), sum
+    C a^i b^j 2^(d(D-i-j)) with a + 1 and b + 1 in place of a and b
+    where C < 0; the same homogenized sum at (2a+1, 2b+1, 2^(d+1)) is
+    the sign of the value at the box centre.  It decides exactly as
+    certify_sign_oracle does, box for box.
+    """
+    scale = math.lcm(*(c.denominator for c in poly.coeffs.values()))
+    top = max((i + j for i, j in poly.coeffs), default=0)
+    terms = [(c.numerator * (scale // c.denominator), i, j, top - i - j)
+             for (i, j), c in poly.coeffs.items()]
+    positive = [t for t in terms if t[0] > 0]
+    negative = [t for t in terms if t[0] < 0]
+
+    def homogeneous(part, x: int, y: int, w: int) -> int:
+        return sum(c * x ** i * y ** j * w ** k for c, i, j, k in part)
+
+    if homogeneous(terms, 1, 1, 2) <= 0:
+        return False
+    boxes = [(0, 0, 0)]
+    while boxes:
+        a, b, d = boxes.pop()
+        w = 1 << d
+        if homogeneous(positive, a, b, w) + homogeneous(negative, a + 1, b + 1, w) > 0:
+            continue
+        a, b = 2 * a, 2 * b
+        if homogeneous(terms, a + 1, b + 1, 2 * w) <= 0:
+            return False
+        if d >= depth:
+            raise ak.Inconclusive("sign not certified within the refinement cap")
+        d += 1
+        boxes.extend([(a, b, d), (a + 1, b, d), (a, b + 1, d), (a + 1, b + 1, d)])
     return True
 
 

@@ -1,13 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
 from bott import admissible as adm
-from bott.polynomials import ONE, degree, padd, pderiv, peval, pmul, poly, pscale, psub
+from bott.core import StageTooLarge
+from bott.polynomials import degree, ilin, pderiv, peval, pmul, poly, pscale, psub
 from conftest import (
+    cproj_transform_oracle,
+    csc_condition_expansion_oracle,
     csc_condition_polynomial_oracle,
     csc_condition_raw_oracle,
     csc_family_solve_oracle,
+    extremal_polynomial_oracle,
+    fractions,
+    is_positive_on_interval_oracle,
+    p_c_oracle,
 )
 
 TOL = Fraction(1, 10 ** 12)
@@ -231,11 +244,20 @@ class TestCscCondition:
 
     def test_expansion_self_check_raises(self, monkeypatch):
         # an expansion that misses the root r_minus = -r_plus must raise
-        # ArithmeticError, also under python -O
-        real = adm._moment
-        monkeypatch.setattr(adm, "_moment", lambda n, rp, k: padd(real(n, rp, k), ONE))
+        # ArithmeticError, also under python -O (which strips asserts)
+        real = adm._moment_row
+        monkeypatch.setattr(adm, "_moment_row", lambda *args: ilin((1, real(*args)), (1, (1,))))
         with pytest.raises(ArithmeticError):
             adm.csc_condition_polynomial(2, Fraction(4, 5))
+        script = ("import bott.admissible as adm; from bott.polynomials import ilin; "
+                  "real = adm._moment_row; "
+                  "adm._moment_row = lambda *args: ilin((1, real(*args)), (1, (1,))); "
+                  "adm.csc_condition_polynomial(2, '4/5')")
+        env = {**os.environ, "PYTHONPATH": str(Path(adm.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert "ArithmeticError: expanded CSC obstruction misses" in run.stderr
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_expansion_matches_interpolation(self, m):
@@ -391,3 +413,82 @@ class TestCProjective:
             adm.cproj_transform(F, data, 2, 1)
         with pytest.raises(adm.SingularParameters):
             adm.cproj_transform(F, data, Fraction(2, 5), 1)   # beta r = alpha
+
+
+@st.composite
+def admissible_data(draw, max_components=3, max_d=3):
+    comps = []
+    for _ in range(draw(st.integers(1, max_components))):
+        q = draw(st.integers(2, 12))
+        r = Fraction(draw(st.sampled_from((-1, 1))) * draw(st.integers(1, q - 1)), q)
+        comps.append((draw(st.integers(1, max_d)), draw(fractions(9, 5)), r))
+    return adm.AdmissibleData.make(comps)
+
+
+class TestAgainstFractionOracles:
+    """The integer paths against the Fraction paths they replaced (conftest)."""
+
+    @given(admissible_data())
+    @settings(max_examples=80, deadline=None)
+    def test_extremal_polynomial(self, data):
+        try:
+            expected = extremal_polynomial_oracle(data)
+        except adm.SingularSystem:
+            with pytest.raises(adm.SingularSystem):
+                adm.extremal_polynomial(data)
+            return
+        profile = adm.extremal_polynomial(data)
+        assert (profile.F, profile.slope, profile.intercept) == expected
+        assert adm.is_positive_on_interval(profile.F) == is_positive_on_interval_oracle(profile.F)
+        assert data.p_c() == p_c_oracle(data)
+
+    @given(admissible_data(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cproj_transform(self, data, draw):
+        if draw.draw(st.booleans()):
+            F = adm.extremal_polynomial(data).F
+            F = F if degree(F) <= data.dim + 1 else F[:data.dim + 2]
+        else:
+            F = poly(draw.draw(st.lists(fractions(9, 6), max_size=data.dim + 2)))
+        beta = draw.draw(fractions(9, 5).filter(bool))
+        q = draw.draw(st.integers(2, 13))
+        alpha = abs(beta) * Fraction(draw.draw(st.integers(1 - q, q - 1)), q)
+        try:
+            new_F, new_data = adm.cproj_transform(F, data, alpha, beta)
+        except adm.SingularParameters:
+            assert any(beta == alpha * r or beta * r == alpha for r in data.r_list())
+            return
+        assert (new_F, new_data.r_list()) == cproj_transform_oracle(F, data, alpha, beta)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_csc_expansion(self, m):
+        rng = random.Random(400 + m)
+        for _ in range(25):
+            q = rng.randint(2, 100)
+            rp = Fraction(rng.randint(1, q - 1), q)
+            assert adm.csc_condition_polynomial(m, rp) == csc_condition_expansion_oracle(m, rp)
+
+
+class TestSizeBounds:
+    def test_dimension(self):
+        big = [(adm.MAX_DIM - 2, 2, Fraction(2, 5)), (1, -2, Fraction(-3, 5))]
+        data = adm.AdmissibleData.make(big)
+        assert data.dim == adm.MAX_DIM
+        assert adm.is_positive_on_interval(adm.extremal_polynomial(data).F)
+        with pytest.raises(StageTooLarge):
+            adm.AdmissibleData.make([(adm.MAX_DIM, 2, Fraction(2, 5))])
+
+    def test_csc_m(self):
+        assert Fraction(-1, 2) in adm.csc_family_solve(adm.MAX_CSC_M, Fraction(1, 2), TOL)
+        for call in (lambda m: adm.csc_family_solve(m, Fraction(1, 2), TOL),
+                     lambda m: adm.csc_condition(m, Fraction(1, 2), Fraction(-1, 2)),
+                     lambda m: adm.csc_family_sweep(m, Fraction(1, 2), TOL)):
+            with pytest.raises(StageTooLarge):
+                call(adm.MAX_CSC_M + 1)
+
+    def test_sweep_points(self):
+        largest = Fraction(1, adm.MAX_SWEEP_POINTS + 1)
+        rows = list(adm.csc_family_sweep(1, largest, Fraction(1, 1000)))
+        assert len({rp for rp, _ in rows}) == adm.MAX_SWEEP_POINTS
+        with pytest.raises(StageTooLarge):
+            adm.csc_family_sweep(1, Fraction(1, adm.MAX_SWEEP_POINTS + 2), TOL)

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from bott import almostkahler as ak
 from bott.polynomials import Poly2
 
-from conftest import certify_sign_oracle, check_integrability_grid_oracle
+from conftest import (
+    certify_sign_monomial_oracle,
+    certify_sign_oracle,
+    check_integrability_grid_oracle,
+)
 
 
 def random_data(rng):
@@ -198,12 +202,25 @@ def term_polys(draw):
     return sum((Poly2({(i, j): c}) for i, j, c in terms), Poly2.constant(draw(coeff_fracs)))
 
 
+def assert_refines(outcome, monomial):
+    """The Bernstein test never contradicts the monomial oracle's True or
+    False, and decides wherever the oracle does."""
+    if monomial != "inconclusive":
+        assert outcome == monomial
+
+
 class TestCertifySignOracle:
     @given(thin_polys() | term_polys(), st.integers(0, 9))
     @settings(max_examples=60, deadline=None)
     def test_integer_boxes_match_fraction_boxes(self, poly, depth):
-        assert sign_outcome(ak._certify_sign, poly, depth) == \
-            sign_outcome(certify_sign_oracle, poly, depth)
+        monomial = sign_outcome(certify_sign_monomial_oracle, poly, depth)
+        assert monomial == sign_outcome(certify_sign_oracle, poly, depth)
+        outcome = sign_outcome(ak._certify_sign, poly, depth)
+        assert_refines(outcome, monomial)
+        if outcome != "inconclusive":
+            # a decision the oracle lacks at this depth, it may not contradict deeper
+            assert sign_outcome(certify_sign_monomial_oracle, poly, depth + 4) in \
+                (outcome, "inconclusive")
 
     @pytest.mark.parametrize("p0, p1, p2", [(1, 2, 2), (Fraction(5, 3), 4, -1), (1, 0, 0)])
     def test_metric_polynomials_match(self, p0, p1, p2):
@@ -215,19 +232,51 @@ class TestCertifySignOracle:
         b2 = 2 * data.q_poly() + sol.a22 * w2
         for poly in (b1, b1 * b2 - sol.a12 * sol.a12 * w1 * w2):
             for depth in (0, 2, ak.DEFAULT_POSITIVITY_DEPTH):
-                assert sign_outcome(ak._certify_sign, poly, depth) == \
-                    sign_outcome(certify_sign_oracle, poly, depth)
+                monomial = sign_outcome(certify_sign_monomial_oracle, poly, depth)
+                assert monomial == sign_outcome(certify_sign_oracle, poly, depth)
+                assert_refines(sign_outcome(ak._certify_sign, poly, depth), monomial)
 
     def test_depth_cap_boundary(self):
-        # certified exactly at the first depth the oracle certifies, and
-        # inconclusive one level short of it
+        # each test is certified exactly from its own first depth on and
+        # inconclusive one level short of it; the Bernstein boxes need fewer
+        # levels than the monomial bounds (2 against 6 here)
         z1, z2 = Poly2.var(0), Poly2.var(1)
         thin = ((z1 - Fraction(1, 3)) * (z1 - Fraction(1, 3))
                 + (z2 - Fraction(2, 3)) * (z2 - Fraction(2, 3)) + Fraction(1, 30))
-        depth = next(d for d in range(20) if sign_outcome(certify_sign_oracle, thin, d) is True)
-        assert depth > 0
-        assert sign_outcome(ak._certify_sign, thin, depth) is True
-        assert sign_outcome(ak._certify_sign, thin, depth - 1) == "inconclusive"
+        firsts = []
+        for certify in (certify_sign_monomial_oracle, ak._certify_sign):
+            depth = next(d for d in range(20) if sign_outcome(certify, thin, d) is True)
+            assert depth > 0
+            assert sign_outcome(certify, thin, depth - 1) == "inconclusive"
+            assert sign_outcome(certify, thin, depth + 1) is True
+            firsts.append(depth)
+        assert sign_outcome(certify_sign_oracle, thin, firsts[0]) is True
+        assert sign_outcome(certify_sign_oracle, thin, firsts[0] - 1) == "inconclusive"
+        assert firsts[1] < firsts[0]
+
+    @pytest.mark.parametrize("p0, p1, p2", [(Fraction(10, 3), 0, -3), (Fraction(9, 4), -2, 0),
+                                           (Fraction(7, 2), 0, -3)])
+    def test_edge_weights_certify_on_first_box(self, p0, p1, p2):
+        # Q small near an edge: thousands of monomial boxes, one Bernstein box
+        data = ak.SquareFiberData.make(p0, p1, p2)
+        sol = ak.solve_ak(data)
+        z1, z2 = Poly2.var(0), Poly2.var(1)
+        w1, w2 = z1 * (1 - z1), z2 * (1 - z2)
+        b1 = 2 * data.q_poly() + sol.a11 * w1
+        det_core = b1 * (2 * data.q_poly() + sol.a22 * w2) - sol.a12 * sol.a12 * w1 * w2
+        for poly in (b1, det_core):
+            assert ak._certify_sign(poly, 0) is True
+        assert sign_outcome(certify_sign_monomial_oracle, det_core, 5) == "inconclusive"
+
+    def test_negative_box_decides_false(self):
+        # positive at the square's centre, negative near a corner: False
+        # comes from the centre of a box below the first
+        z1, z2 = Poly2.var(0), Poly2.var(1)
+        dip = (z1 - Fraction(7, 8)) * (z1 - Fraction(7, 8)) + \
+            (z2 - Fraction(7, 8)) * (z2 - Fraction(7, 8)) - Fraction(1, 100)
+        assert dip.eval(Fraction(1, 2), Fraction(1, 2)) > 0
+        assert ak._certify_sign(dip, 8) is False
+        assert certify_sign_monomial_oracle(dip, 8) is False
 
 
 class TestIntegrability:

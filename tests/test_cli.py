@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bott import admissible as adm
 from bott import cli
 from bott import cohomology as coh
 from bott import symplectic as sp
@@ -411,6 +412,37 @@ class TestErrors:
         assert count.exit_code == 0 and count.payload["N_B"] == 50_000 * 50_001 // 2
         enum = run(["compat-enumerate", "315", "1", "1"])
         assert enum.exit_code == 0 and enum.payload["count"] == 315 * 316 // 2
+
+    @pytest.mark.parametrize("argv", [
+        ["csc-family", "--m", "17", "--rplus", "1/2"],
+        ["csc-family", "--m", "17", "--sweep", "1/2"],
+        ["csc-family", "--m", "1", "--sweep", "1/1002"],       # 1,001 values of r_plus
+        ["extremal-poly", "--data", '{"components": [{"d": 24, "s": "2", "r": "1/2"}]}'],
+        ["cproj", "--data", '{"components": [{"d": 24, "s": "2", "r": "1/2"}]}',
+         "--alpha=1/3", "--poly=1,0,-1"],
+        ["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "501"],
+    ])
+    def test_admissible_bounds_refuse(self, argv):
+        result = run(argv)
+        assert result.exit_code == 1
+        assert result.payload["error"] == "stage_too_large"
+
+    def test_admissible_bounds_largest_accepted(self, monkeypatch, capsys):
+        assert (adm.MAX_CSC_M, adm.MAX_DIM, adm.MAX_SWEEP_POINTS) == (16, 24, 1000)
+        assert cli.TRAJECTORY_BOUND == 500
+        csc = run(["csc-family", "--m", "16", "--rplus", "1/2"])
+        assert csc.exit_code == 0 and "-1/2" in csc.payload["roots"]
+        data = '{"components": [{"d": 23, "s": "2", "r": "1/2"}]}'
+        assert run(["extremal-poly", "--data", data]).exit_code == 0
+        sweep = run(["csc-family", "--m", "1", "--sweep", "1/1001", "--tolerance", "1/1000"])
+        assert sweep.exit_code == 0 and len({row.split(",")[1] for row in sweep.payload}) == 1000
+        path = run(["cproj", "--data", KS_DATA, "--alpha=-5/19", "--trajectory", "500"])
+        assert path.exit_code == 0 and len(path.payload) == 501
+        # the sweep script refuses through csc_sweep_rows, as a parse error
+        with pytest.raises(SystemExit) as exc:
+            run_script(monkeypatch, "csc_family_sweep.py", "--m", "1", "--step", "1/1002")
+        assert exc.value.code == 2
+        assert "exceed bound 1000" in capsys.readouterr().err
 
     def test_singular_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha", "1", "--beta", "1"])

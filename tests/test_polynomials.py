@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,15 +24,18 @@ from bott.polynomials import (
     ppow,
     pscale,
     psub,
+    refine_root,
     roots_in_interval,
     solve_linear,
     squarefree_part,
 )
 from conftest import (
+    FractionPoly2,
     bounds_on_box_oracle,
     count_roots_open_oracle,
     isolate_roots_oracle,
     pgcd_oracle,
+    refine_root_oracle,
     roots_in_interval_oracle,
     squarefree_part_oracle,
 )
@@ -189,6 +193,19 @@ class TestAgainstFractionSturm:
         f = polynomials._primitive(p)
         assert polynomials._sign_at(f, x) == (value > 0) - (value < 0)
 
+    # brackets with unrelated, non-dyadic denominators and tolerances that
+    # are not powers of two: the integer bisection keeps a common
+    # denominator that doubles, the oracle a reduced Fraction per step
+    @given(linear_factors, scales, st.booleans(), small_fracs, small_fracs,
+           st.builds(Fraction, st.integers(1, 9), st.sampled_from((7, 1000, 10 ** 9))))
+    @settings(max_examples=100, deadline=None)
+    @example([Fraction(1, 3)], Fraction(1), False, Fraction(-1, 7), Fraction(5, 6),
+             Fraction(1, 10 ** 9))
+    def test_refine_root_integer_bisection(self, roots, scale, quadratic, lo, hi, tol):
+        p = from_roots(roots, scale, quadratic)
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert refine_root(p, lo, hi, tol) == refine_root_oracle(p, lo, hi, tol)
+
     def test_one_chain_per_isolation(self, monkeypatch):
         calls = {"_squarefree": 0, "_sturm_chain": 0}
         for name in calls:
@@ -231,6 +248,34 @@ class TestPoly2:
         x = x0 + (x1 - x0) * Fraction(num_x, 7) if num_x else x0
         y = y0 + (y1 - y0) * Fraction(num_y, 7) if num_y else y0
         assert lo <= p.eval(x, y) <= hi
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), small_fracs), max_size=6),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), small_fracs), max_size=6),
+           small_fracs, small_fracs, small_fracs)
+    @settings(max_examples=80, deadline=None)
+    def test_ring_ops_match_fraction_dicts(self, p_terms, q_terms, c, x, y):
+        def build(terms, cls):
+            out = cls({})
+            for i, j, a in terms:
+                out = out + cls({(i, j): a})
+            return out
+
+        p, q = build(p_terms, Poly2), build(q_terms, Poly2)
+        po, qo = build(p_terms, FractionPoly2), build(q_terms, FractionPoly2)
+        pairs = [(p, po), (q, qo), (p + q, po + qo), (p - q, po - qo), (p * q, po * qo),
+                 (-p, -po), (p * c, po * c), (c * q, qo * c), (p.diff(0), po.diff(0)),
+                 (p.diff(1), po.diff(1)), ((p * q).diff(0), (po * qo).diff(0))]
+        for got, want in pairs:
+            assert got.coeffs == want.coeffs
+            # one denominator: the smallest, and every coefficient an integer over it
+            assert got.den == math.lcm(*(a.denominator for a in want.coeffs.values()))
+            assert all(Fraction(n, got.den) == want.coeffs[k] for k, n in got.num.items())
+        assert p.eval(x, y) == po.eval(x, y)
+        assert (p == q) == (po.coeffs == qo.coeffs)
+        # equal polynomials built along different paths are equal, with equal hashes
+        for a, b in ((p * q, q * p), ((p + q) - q, p), (p * c + q * c, (p + q) * c)):
+            assert a == b and hash(a) == hash(b)
+        assert (p - p).is_zero() and p - p == 0 and hash(p - p) == hash(Poly2({}))
 
     def test_mixed_partials_commute(self):
         z1, z2 = Poly2.var(0), Poly2.var(1)

@@ -46,3 +46,23 @@ def test_commands_reach_every_layer():
     assert {"core", "fan", "cohomology", "admissible", "polynomials",
             "almostkahler"} <= layers
     assert tracer.layers.count("cli") == len(COMMANDS)
+
+
+def test_admissible_root_calls_are_traced():
+    # the integer paths still call roots_in_interval and count_roots_open
+    # through bott.admissible, and refine_root through bott.polynomials; the
+    # tracer names those spans by their layer, polynomials
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        csc = tracer.root(0, cli.run, ["csc-family", "--m", "3", "--rplus", "4/5"])
+        csc_counts = dict(tracer.counts)
+        extremal = tracer.root(1, cli.run, ["extremal-poly", "--data", KS_DATA])
+    finally:
+        tracer.uninstall()
+    assert (csc.exit_code, extremal.exit_code) == (0, 0)
+    spans = {(op, name) for op, name in zip(tracer.op_ids, tracer.names)}
+    assert (0, "polynomials.roots_in_interval") in spans
+    assert (1, "polynomials.count_roots_open") in spans
+    assert csc_counts["polynomials.roots_found"] == len(csc.payload["roots"]) > 0
+    assert csc_counts["polynomials.bisection_steps"] > 0

@@ -37,21 +37,21 @@ from .polynomials import (
     imul,
     lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
     over,
-    pdiv_exact,
     pderiv,
     peval,
     poly,
     roots_in_interval,
-    solve_linear,
+    solve_fraction_free,
 )
 
 DEFAULT_CSC_TOLERANCE = Fraction(1, 10 ** 12)   # CSC roots are refined to within this
 
-# Refusal bounds (StageTooLarge): with denominators below 100 one accepted
-# profile or CSC solve answers in about 1 s on a 2-core x86 host.
+# Refusal bounds (StageTooLarge): at these bounds one accepted profile or
+# CSC solve answers in about 1 s on a 2-core x86 host.
 MAX_DIM = 24              # total dimension 1 + sum d_a of admissible data
 MAX_CSC_M = 16            # m of the CSC obstruction, a polynomial of degree 2m
 MAX_SWEEP_POINTS = 1000   # the ceil(1/step) - 1 solves of a CSC sweep
+MAX_RATIONAL_BITS = 12    # bit length of each numerator and denominator of r_plus, s_a, r_a
 
 
 class PoleHit(ZeroDivisionError):
@@ -90,7 +90,10 @@ class AdmissibleData:
         """Build from (d, s, r) triples; s and r are ints, Fractions or rational strings.
 
         Floats are refused: a JSON 0.4 would otherwise become the binary
-        fraction 3602879701896397/9007199254740992.
+        fraction 3602879701896397/9007199254740992.  Values past
+        MAX_RATIONAL_BITS are refused here, where data comes in, and not in
+        the constructor: the images that cproj_transform builds with with_r
+        are only reported, and may be larger.
         """
         def exact(value) -> Fraction:
             if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
@@ -99,10 +102,12 @@ class AdmissibleData:
             return Fraction(value)
 
         try:
-            return cls(tuple((d, exact(s), exact(r)) for d, s, r in components))
+            data = cls(tuple((d, exact(s), exact(r)) for d, s, r in components))
         except TypeError as exc:
             raise ValueError("components must be (d, s, r) triples with an "
                              "integer d and rational s, r") from exc
+        _check_bits(*(x for _, s, r in data.components for x in (s, r)))
+        return data
 
     @property
     def dim(self) -> int:
@@ -185,8 +190,8 @@ def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
     intercept and the two integration constants solve the four endpoint
     equations F(+-1) = 0, F'(+-1) = -+ 2 p_c(+-1).  Both integrations are
     in integers over one denominator L Q T, L the lcm of the (i + 1)(i + 2),
-    and only the endpoint values (each equation times L Q T) enter
-    solve_linear.
+    and the four equations, each times L Q T, are an integer system whose
+    fraction-free solution (k1, k3, kc1, kc0) / D gives F over L Q T D.
     """
     P, Q, S, T = _profile_parts(data)
     L = lcm(*((i + 1) * (i + 2) for i in range(len(P) + 1)))
@@ -197,16 +202,11 @@ def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
 
     g2, t1, t0 = twice(S), twice((0,) + P, T), twice(P, T)     # G2, P1, P0 over den
     (g, e1, e0), ep = map(_ends, (g2, t1, t0)), _ends(P)
-    unit, zero = Fraction(den), Fraction(0)
-    rows = [[Fraction(-e1[k]), Fraction(-e0[k]), -unit if k == 1 else unit,
-             unit if k < 2 else zero] for k in range(4)]
-    rhs = [Fraction(x) for x in (-g[0], -g[1], -g[2] - 2 * L * T * ep[0],
-                                 -g[3] + 2 * L * T * ep[1])]
-    a1, a3, c1, c0 = solve_linear(rows, rhs)
-    D = lcm(a1.denominator, a3.denominator, c1.denominator, c0.denominator)
-    k1, k3, kc1, kc0 = (D // x.denominator * x.numerator for x in (a1, a3, c1, c0))
+    rows = [[-e1[k], -e0[k], -den if k == 1 else den, den if k < 2 else 0] for k in range(4)]
+    rhs = [-g[0], -g[1], -g[2] - 2 * L * T * ep[0], -g[3] + 2 * L * T * ep[1]]
+    (k1, k3, kc1, kc0), D = solve_fraction_free(rows, rhs)
     F = ilin((D, g2), (-k1, t1), (-k3, t0), (den * kc0, (1,)), (den * kc1, (0, 1)))
-    return ExtremalProfile(over(F, den * D), a1, a3)
+    return ExtremalProfile(over(F, den * D), Fraction(k1, D), Fraction(k3, D))
 
 
 def scalar_profile(profile: ExtremalProfile, data: AdmissibleData, z) -> Fraction:
@@ -261,6 +261,13 @@ def ks_data(r) -> AdmissibleData:
     return AdmissibleData.make([(1, 2, r), (1, -2, r - 1)])
 
 
+def _check_bits(*values: Fraction) -> None:
+    for x in values:
+        if max(abs(x.numerator), x.denominator).bit_length() > MAX_RATIONAL_BITS:
+            raise StageTooLarge(f"{x} exceeds bound of {MAX_RATIONAL_BITS} bits "
+                                f"per numerator and denominator")
+
+
 def _csc_args(m: int, r_plus) -> Fraction:
     """Check the balanced CSC parameters; r_plus comes back as a Fraction."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
@@ -270,6 +277,7 @@ def _csc_args(m: int, r_plus) -> Fraction:
     rp = Fraction(r_plus)
     if not 0 < rp < 1:
         raise ValueError("r_plus must lie in (0, 1)")
+    _check_bits(rp)
     return rp
 
 
@@ -360,9 +368,9 @@ def csc_second_family_polynomial(m: int, r_plus) -> Poly:
     the parameter interval, passing through the crossing point at
     r_plus = 1/2.
     """
-    rp = Fraction(r_plus)
-    g = csc_condition_polynomial(m, rp)
-    return pdiv_exact(g, poly([rp, 1]))
+    g, den = _csc_obstruction(m, r_plus)
+    a, b = Fraction(r_plus).as_integer_ratio()   # r_minus + r_plus = (a + b r_minus) / b
+    return over(exact_quotient(g, (a, b)), den // b)
 
 
 def csc_second_family_roots(m: int, r_plus, tolerance) -> list[Fraction]:

@@ -7,24 +7,21 @@ IntPoly over one positive denominator kept beside it (imul, ilin), with
 `over` forming one Fraction per coefficient at the end.
 
 Real roots are found on integer polynomials.  roots_in_interval scales p
-by a positive rational to coprime integer coefficients, takes its
-squarefree part (a primitive remainder sequence for gcd(p, p')) and builds
-one Sturm chain of that part; the isolation, its root counts and the
-sign bisection in refine_root all read that one chain.  The chain uses
-pseudo-remainders that multiply by |leading coefficient| instead of
-dividing, then divide by their content: each member is a positive
-multiple of the classical Sturm polynomial, so sign variations are
-unchanged and the coefficients do not grow along the chain.  The sign of
-an integer polynomial at x = p/q (q > 0) is the sign of the homogenized
-sum of c_i p^i q^(d - i), so no Fraction arithmetic happens per
-evaluation; refine_root keeps its bracket as two integer numerators over
-a denominator that doubles with each halving.  Multiple roots are
-reported once; exact rational roots come back exactly, others within
-the requested tolerance.
+by a positive rational to coprime integers f and builds one Sturm chain:
+the primitive remainder sequence of f and f', which ends in gcd(f, f'),
+each member divided by that gcd, so chain[0] is the squarefree part.  The
+isolation, its root counts and the sign bisection in refine_root all read
+that chain.  Pseudo-remainders multiply by |leading coefficient| instead
+of dividing, then divide by their content: sign variations are those of
+the classical chain and coefficients do not grow along it.  The sign of
+an integer polynomial at x = p/q (q > 0) is that of the homogenized sum
+of c_i p^i q^(d - i), so no Fraction arithmetic happens per evaluation;
+refine_root keeps its bracket as two integer numerators over a
+denominator that doubles with each halving.  Multiple roots are reported
+once; exact rational roots come back exactly, others within tolerance.
 
-solve_linear is the package's one exact linear solver: Gauss-Jordan
-elimination over Fractions for the small square systems of the
-admissible and square-fiber solvers.
+solve_fraction_free is the package's one exact linear solver: Bareiss
+elimination in integers (Bareiss 1968); solve_linear returns Fractions.
 
 Poly2 is a thin bivariate companion, also integers over one denominator,
 with just the operations the square-fiber solver needs: ring arithmetic,
@@ -96,33 +93,6 @@ def ppow(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = pmul(out, p)
     return out
-
-
-def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv_lead = 1 / q[-1]
-    while len(rem) >= len(q) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        shift = len(rem) - len(q)
-        factor = rem[-1] * inv_lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return poly(quo), poly(rem)
-
-
-def pdiv_exact(p: Poly, q: Poly) -> Poly:
-    quo, rem = pdivmod(p, q)
-    if rem:
-        raise ValueError("division is not exact")
-    return quo
 
 
 def peval(p: Poly, x) -> Fraction:
@@ -267,16 +237,19 @@ def _squarefree(f: IntPoly) -> IntPoly:
 def _sturm_chain(p: Poly) -> list[IntPoly]:
     """Sturm chain of the squarefree part of p; chain[0] is that part.
 
-    Each member is a positive multiple of the classical Sturm polynomial.
+    The remainder sequence of f = _primitive(p) and f' ends in +-gcd(f, f');
+    every member divided by that gcd, leading positively, is primitive
+    (Gauss's lemma), and they form a Sturm chain of f / gcd.
     """
-    chain = [_squarefree(_primitive(p))]
+    chain = [_primitive(p)]
     if len(chain[0]) > 1:
         chain.append(_content_free(_int_deriv(chain[0])))
-        while True:
-            rem = _prem(chain[-2], chain[-1])
-            if not rem:
-                break
+        while rem := _prem(chain[-2], chain[-1]):
             chain.append(tuple(-c for c in rem))
+        g = chain[-1]
+        if len(g) > 1:
+            g = g if g[-1] > 0 else tuple(-c for c in g)
+            chain = [exact_quotient(f, g) for f in chain]
     return chain
 
 
@@ -437,26 +410,44 @@ class SingularSystem(ArithmeticError):
     """A square linear system without a unique solution."""
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> list[Fraction]:
-    """The unique x with rows x = rhs, by exact Gauss-Jordan elimination.
+def solve_fraction_free(rows: Sequence[Sequence[int | Fraction]],
+                        rhs: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """(y, det), det > 0: the unique x with rows x = rhs is y / det.
 
+    Bareiss elimination on each row scaled to integers by one lcm: every
+    step divides exactly by the previous pivot, the last pivot is det up
+    to sign, and the integers det x_i (Cramer) come from back-substitution.
     Raises SingularSystem when the matrix is singular.
     """
     n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+    aug = []
+    for row, c in zip(rows, rhs):
+        den = lcm(c.denominator, *(e.denominator for e in row))
+        aug.append([e.numerator * (den // e.denominator) for e in (*row, c)])
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
             raise SingularSystem("linear system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [e / pv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        top = aug[k]
+        for row in aug[k + 1:]:
+            row[k + 1:] = [(top[k] * e - row[k] * t) // prev
+                           for e, t in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k]
+    det, y = abs(prev), [0] * n
+    for i, row in reversed(list(enumerate(aug))):
+        y[i], r = divmod(det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        if r:
+            raise ArithmeticError("fraction-free back-substitution is not exact")
+    return y, det
+
+
+def solve_linear(rows: Sequence[Sequence[int | Fraction]],
+                 rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """The unique x with rows x = rhs, by solve_fraction_free."""
+    y, det = solve_fraction_free(rows, rhs)
+    return [Fraction(v, det) for v in y]
 
 
 class Poly2:

@@ -11,8 +11,8 @@ equation itself, integrability is sampled on a grid of rational points,
 positivity is certified on Fraction boxes with Fraction interval bounds
 and on integer boxes with monomial bounds, the extremal profile, its
 c-projective image and the CSC expansion are computed with Fraction
-polynomials, Poly2 is checked against a dict of Fractions,
-real roots are isolated with Sturm chains over Fraction coefficients
+polynomials, Poly2 is checked against a dict of Fractions, linear
+systems and determinants are eliminated over Fractions, real roots are isolated with Sturm chains over Fraction coefficients
 (Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
 values, stage-3 diffeomorphism is decided invariant by invariant
@@ -48,8 +48,6 @@ from bott.polynomials import (
     degree,
     lagrange_interpolate,
     padd,
-    pdiv_exact,
-    pdivmod,
     pderiv,
     peval,
     pinteg,
@@ -119,6 +117,27 @@ def _solve(cols, rhs):
                 f = aug[r][col]
                 aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def determinant_oracle(matrix) -> Fraction:
+    """The determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(a) for a in row] for row in matrix]
+    n = len(m)
+    sign, det = 1, Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return sign * det
 
 
 def stage3_diffeomorphic_oracle(t1, t2) -> bool:
@@ -501,6 +520,34 @@ def apply_signed_permutation_generic(A: BottMatrix, sigma: Sequence[int],
 
 
 # -- real roots over Fraction coefficients -----------------------------------
+
+def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Long division over the rationals: (quotient, remainder)."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    inv_lead = 1 / q[-1]
+    while len(rem) >= len(q) and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(q):
+            break
+        shift = len(rem) - len(q)
+        factor = rem[-1] * inv_lead
+        quo[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return poly(quo), poly(rem)
+
+
+def pdiv_exact(p: Poly, q: Poly) -> Poly:
+    quo, rem = pdivmod(p, q)
+    if rem:
+        raise ValueError("division is not exact")
+    return quo
+
 
 def pgcd_oracle(p: Poly, q: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm over the rationals."""

@@ -15,8 +15,13 @@ from bott import fan as bfan
 from bott import symplectic as sp
 from bott.core import BottMatrix, equivalence_orbit
 from bott.polynomials import pmul, poly, pscale
-from conftest import full_scan_orbit, orbit_closure_oracle, support_eval_oracle
-from test_almostkahler import derive_system, _gauss_det
+from conftest import (
+    determinant_oracle,
+    full_scan_orbit,
+    orbit_closure_oracle,
+    support_eval_oracle,
+)
+from test_almostkahler import derive_system
 
 M3 = BottMatrix.stage3
 TOL = Fraction(1, 10 ** 12)
@@ -181,7 +186,7 @@ def test_criterion_09_square_fiber_system():
         matrix, rhs = derive_system(candidate)
         expected_matrix, expected_rhs = ak.system_matrix(candidate)
         assert matrix == expected_matrix and rhs == expected_rhs
-        assert _gauss_det(matrix) == ak.system_determinant(candidate)
+        assert determinant_oracle(matrix) == ak.system_determinant(candidate)
         quadratic = (6 * p0 * p0 + 6 * p0 * p1 + p1 * p1
                      + 6 * p0 * p2 + 3 * p1 * p2 + p2 * p2)
         assert ak.system_determinant(candidate) == -96 * (2 * p0 + p1 + p2) * quadratic

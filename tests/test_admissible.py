@@ -486,6 +486,21 @@ class TestSizeBounds:
             with pytest.raises(StageTooLarge):
                 call(adm.MAX_CSC_M + 1)
 
+    def test_rational_bits(self):
+        top = 2 ** adm.MAX_RATIONAL_BITS
+        largest, refused = Fraction(top - 2, top - 1), Fraction(top - 1, top)
+        assert -largest in adm.csc_family_solve(2, largest, TOL)
+        adm.AdmissibleData.make([(1, top - 1, largest), (1, Fraction(-3, top - 1), -largest)])
+        for call in (lambda: adm.csc_family_solve(2, refused, TOL),
+                     lambda: adm.csc_second_family_roots(2, refused, TOL),
+                     lambda: adm.csc_family_sweep(1, Fraction(top // 2 + 1, top), TOL),
+                     lambda: adm.AdmissibleData.make([(1, 2, refused)]),
+                     lambda: adm.AdmissibleData.make([(1, 2, -refused)]),
+                     lambda: adm.AdmissibleData.make([(1, top, Fraction(1, 2))]),
+                     lambda: adm.AdmissibleData.make([(1, Fraction(1, top), Fraction(1, 2))])):
+            with pytest.raises(StageTooLarge):
+                call()
+
     def test_sweep_points(self):
         largest = Fraction(1, adm.MAX_SWEEP_POINTS + 1)
         rows = list(adm.csc_family_sweep(1, largest, Fraction(1, 1000)))

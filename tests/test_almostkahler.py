@@ -9,9 +9,11 @@ from bott import almostkahler as ak
 from bott.polynomials import Poly2
 
 from conftest import (
+    _solve,
     certify_sign_monomial_oracle,
     certify_sign_oracle,
     check_integrability_grid_oracle,
+    determinant_oracle,
 )
 
 
@@ -98,12 +100,19 @@ class TestSolve:
             assert matrix == expected_matrix
             assert rhs == expected_rhs
 
+    def test_matches_gauss_jordan_oracle(self):
+        rng = random.Random(35)
+        for _ in range(60):
+            data = random_data(rng)
+            matrix, rhs = ak.system_matrix(data)
+            assert ak.solve_ak(data) == ak.AkSolution(*_solve(list(zip(*matrix)), rhs))
+
     def test_determinant_identity(self):
         rng = random.Random(34)
         for _ in range(40):
             data = random_data(rng)
             matrix, _ = ak.system_matrix(data)
-            assert _gauss_det(matrix) == ak.system_determinant(data)
+            assert determinant_oracle(matrix) == ak.system_determinant(data)
 
     def test_csc_forces_product(self):
         half_steps = [Fraction(k, 2) for k in range(1, 11)]
@@ -117,26 +126,6 @@ class TestSolve:
                     sol = ak.solve_ak(data)
                     if sol.A1 == 0 and sol.A2 == 0:
                         assert p1 == 0 and p2 == 0
-
-
-def _gauss_det(matrix):
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign, det = 1, Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * det
 
 
 class TestPositivity:

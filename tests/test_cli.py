@@ -444,6 +444,20 @@ class TestErrors:
         assert exc.value.code == 2
         assert "exceed bound 1000" in capsys.readouterr().err
 
+    def test_rational_bits_bound(self):
+        assert adm.MAX_RATIONAL_BITS == 12
+        assert run(["csc-family", "--m", "2", "--rplus", "4094/4095"]).exit_code == 0
+        accepted = '{"components": [{"d": 1, "s": "4095", "r": "4094/4095"}]}'
+        assert run(["extremal-poly", "--data", accepted]).exit_code == 0
+        for argv in (["csc-family", "--m", "2", "--rplus", "4095/4096"],
+                     ["csc-family", "--m", "2", "--sweep", "2049/4096"],
+                     ["extremal-poly", "--data",
+                      '{"components": [{"d": 1, "s": "4096", "r": "1/2"}]}'],
+                     ["cproj", "--alpha=1/3", "--data",
+                      '{"components": [{"d": 1, "s": "2", "r": "-4095/4096"}]}']):
+            result = run(argv)
+            assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
     def test_singular_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha", "1", "--beta", "1"])
         assert result.exit_code == 1

@@ -13,8 +13,6 @@ from bott.polynomials import (
     degree,
     isolate_roots,
     lagrange_interpolate,
-    pdiv_exact,
-    pdivmod,
     pderiv,
     peval,
     pgcd,
@@ -26,14 +24,19 @@ from bott.polynomials import (
     psub,
     refine_root,
     roots_in_interval,
+    solve_fraction_free,
     solve_linear,
     squarefree_part,
 )
 from conftest import (
     FractionPoly2,
+    _solve,
     bounds_on_box_oracle,
     count_roots_open_oracle,
+    determinant_oracle,
     isolate_roots_oracle,
+    pdiv_exact,
+    pdivmod,
     pgcd_oracle,
     refine_root_oracle,
     roots_in_interval_oracle,
@@ -206,20 +209,41 @@ class TestAgainstFractionSturm:
         lo, hi = min(lo, hi), max(lo, hi)
         assert refine_root(p, lo, hi, tol) == refine_root_oracle(p, lo, hi, tol)
 
+    # the remainder sequence of f and f' ends in gcd(f, f'); with repeated
+    # roots every chain member is divided by it, and the chain must still
+    # count and isolate exactly, also on intervals whose endpoints are roots
+    @given(st.lists(st.tuples(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
+                              st.integers(1, 3)), min_size=1, max_size=4),
+           scales, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example([(Fraction(1, 2), 3), (Fraction(-1, 3), 2)], Fraction(-7, 3), False)
+    @example([(Fraction(-1), 2), (Fraction(2), 1)], Fraction(1), False)
+    def test_one_remainder_sequence_chain(self, roots, scale, quadratic):
+        p = from_roots([r for r, k in roots for _ in range(k)], scale, quadratic)
+        chain = polynomials._sturm_chain(p)
+        assert chain[0] == polynomials._squarefree(polynomials._primitive(p))
+        assert all(math.gcd(*f) == 1 for f in chain)
+        points = sorted({r for r, _ in roots})
+        spans = [(-3, 3), (points[0] - 1, points[-1]), (points[0], points[-1] + 1),
+                 *zip(points, points[1:])]
+        for a, b in spans:
+            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
+            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
+
     def test_one_chain_per_isolation(self, monkeypatch):
-        calls = {"_squarefree": 0, "_sturm_chain": 0}
+        calls = {"_int_gcd": 0, "_squarefree": 0, "_sturm_chain": 0}
         for name in calls:
             real = getattr(polynomials, name)
 
-            def counted(f, real=real, name=name):
+            def counted(*args, real=real, name=name):
                 calls[name] += 1
-                return real(f)
+                return real(*args)
 
             monkeypatch.setattr(polynomials, name, counted)
         p = from_roots([Fraction(-1, 2)] * 2 + [Fraction(1, 3), Fraction(1, 5), 0], 3, True)
         found = roots_in_interval(p, -2, 2, Fraction(1, 10 ** 12))
         assert len(found) == 6
-        assert calls == {"_squarefree": 1, "_sturm_chain": 1}
+        assert calls == {"_int_gcd": 0, "_squarefree": 0, "_sturm_chain": 1}
 
 
 class TestPoly2:
@@ -287,6 +311,9 @@ class TestPoly2:
             bounds_on_box_oracle(Poly2.var(0), -1, 0, 0, 1)
 
 
+solve_entries = st.one_of(st.integers(-9, 9), small_fracs)
+
+
 class TestSolveLinear:
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         st.lists(st.lists(small_fracs, min_size=n, max_size=n), min_size=n, max_size=n),
@@ -299,6 +326,34 @@ class TestSolveLinear:
         except SingularSystem:
             return
         assert [sum(a * b for a, b in zip(row, solution)) for row in rows] == rhs
+
+    # ints and Fractions mixed; a zero first pivot forces a row swap, and a
+    # last row that is a multiple of the first makes the system singular
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(solve_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(solve_entries, min_size=n, max_size=n))), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(([[0, 1], [1, 0]], [2, 3]), False, False)
+    @example(([[Fraction(1, 2), 3, 0], [0, Fraction(-2, 3), 1], [4, 0, 5]], [1, 0, 1]), True, False)
+    def test_matches_gauss_jordan_oracle(self, system, zero_pivot, singular):
+        rows, rhs = [list(row) for row in system[0]], system[1]
+        if zero_pivot:
+            rows[0][0] = 0
+        if singular:
+            rows[-1] = [3 * a for a in rows[0]] if len(rows) > 1 else [0]
+        expected = _solve([list(col) for col in zip(*rows)], [Fraction(c) for c in rhs])
+        if expected is None:
+            with pytest.raises(SingularSystem):
+                solve_linear(rows, rhs)
+            return
+        assert solve_linear(rows, rhs) == expected
+        # the last Bareiss pivot is the determinant of the rows scaled to integers
+        y, det = solve_fraction_free(rows, rhs)
+        scales = [math.lcm(*(Fraction(e).denominator for e in (*row, c)))
+                  for row, c in zip(rows, rhs)]
+        assert det == abs(determinant_oracle([[e * k for e in row]
+                                              for row, k in zip(rows, scales)]))
+        assert all(isinstance(v, int) for v in y)
 
     def test_unique_solution(self):
         rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]

@@ -35,6 +35,7 @@ from .polynomials import (
     homogeneous_value,
     ilin,
     imul,
+    ints_over,
     lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
     over,
     pderiv,
@@ -52,6 +53,7 @@ MAX_DIM = 24              # total dimension 1 + sum d_a of admissible data
 MAX_CSC_M = 16            # m of the CSC obstruction, a polynomial of degree 2m
 MAX_SWEEP_POINTS = 1000   # the ceil(1/step) - 1 solves of a CSC sweep
 MAX_RATIONAL_BITS = 12    # bit length of each numerator and denominator of r_plus, s_a, r_a
+MAX_TOLERANCE_BITS = 256  # bit length of the numerator and denominator of a CSC tolerance
 
 
 class PoleHit(ZeroDivisionError):
@@ -106,7 +108,7 @@ class AdmissibleData:
         except TypeError as exc:
             raise ValueError("components must be (d, s, r) triples with an "
                              "integer d and rational s, r") from exc
-        _check_bits(*(x for _, s, r in data.components for x in (s, r)))
+        check_bits(*(x for _, s, r in data.components for x in (s, r)))
         return data
 
     @property
@@ -164,10 +166,9 @@ def _profile_parts(data: AdmissibleData) -> tuple[IntPoly, int, IntPoly, int]:
     P = reduce(imul, [(r.denominator, r.numerator)
                       for d, _, r in data.components for _ in range(d)], (1,))
     Q = prod(r.denominator ** d for d, _, r in data.components)
-    T = lcm(*(s.denominator for _, s, _ in data.components))
-    S = ilin(*((2 * d * r.numerator * s.numerator * (T // s.denominator),
-                exact_quotient(P, (r.denominator, r.numerator)))
-               for d, s, r in data.components))
+    sigmas, T = ints_over(s for _, s, _ in data.components)
+    S = ilin(*((2 * d * r.numerator * sigma, exact_quotient(P, (r.denominator, r.numerator)))
+               for (d, _, r), sigma in zip(data.components, sigmas)))
     return P, Q, S, T
 
 
@@ -229,8 +230,7 @@ def is_positive_on_interval(F: Poly) -> bool:
     """
     if not F:
         return False
-    den = lcm(*(c.denominator for c in F))
-    f = [c.numerator * (den // c.denominator) for c in F]
+    f, _ = ints_over(F)
     if _ends(f)[:2] != (0, 0):
         raise ValueError("polynomial must vanish at the endpoints")
     core = exact_quotient(f, (1, 0, -1))   # F = (1 - z^2) * core
@@ -261,11 +261,15 @@ def ks_data(r) -> AdmissibleData:
     return AdmissibleData.make([(1, 2, r), (1, -2, r - 1)])
 
 
-def _check_bits(*values: Fraction) -> None:
+def check_bits(*values: Fraction, bound: int = MAX_RATIONAL_BITS) -> None:
+    """Refuse (StageTooLarge) a numerator or denominator longer than bound bits."""
+    # the message names the bit length, not the value: str() of an integer
+    # past 4,300 digits raises ValueError
     for x in values:
-        if max(abs(x.numerator), x.denominator).bit_length() > MAX_RATIONAL_BITS:
-            raise StageTooLarge(f"{x} exceeds bound of {MAX_RATIONAL_BITS} bits "
-                                f"per numerator and denominator")
+        bits = max(abs(x.numerator), x.denominator).bit_length()
+        if bits > bound:
+            raise StageTooLarge(f"a numerator or denominator of {bits} bits exceeds "
+                                f"bound of {bound} bits")
 
 
 def _csc_args(m: int, r_plus) -> Fraction:
@@ -277,7 +281,7 @@ def _csc_args(m: int, r_plus) -> Fraction:
     rp = Fraction(r_plus)
     if not 0 < rp < 1:
         raise ValueError("r_plus must lie in (0, 1)")
-    _check_bits(rp)
+    check_bits(rp)
     return rp
 
 
@@ -285,6 +289,7 @@ def _tolerance(tolerance) -> Fraction:
     tol = Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    check_bits(tol, bound=MAX_TOLERANCE_BITS)
     return tol
 
 
@@ -359,6 +364,13 @@ def csc_family_solve(m: int, r_plus, tolerance) -> list[Fraction]:
     return roots_in_interval(g, Fraction(-1), Fraction(0), tol)
 
 
+def _second_family(m: int, r_plus) -> tuple[IntPoly, int]:
+    """(h, den): the deflated obstruction is h / den, with h in Z[r_minus]."""
+    g, den = _csc_obstruction(m, r_plus)
+    a, b = Fraction(r_plus).as_integer_ratio()   # r_minus + r_plus = (a + b r_minus) / b
+    return exact_quotient(g, (a, b)), den // b
+
+
 def csc_second_family_polynomial(m: int, r_plus) -> Poly:
     """The obstruction with the balanced family divided out.
 
@@ -368,15 +380,13 @@ def csc_second_family_polynomial(m: int, r_plus) -> Poly:
     the parameter interval, passing through the crossing point at
     r_plus = 1/2.
     """
-    g, den = _csc_obstruction(m, r_plus)
-    a, b = Fraction(r_plus).as_integer_ratio()   # r_minus + r_plus = (a + b r_minus) / b
-    return over(exact_quotient(g, (a, b)), den // b)
+    return over(*_second_family(m, r_plus))
 
 
 def csc_second_family_roots(m: int, r_plus, tolerance) -> list[Fraction]:
     """Second-family solutions r_minus in (-1, 0), refined to the tolerance."""
     tol = _tolerance(tolerance)
-    h = csc_second_family_polynomial(m, r_plus)
+    h, _ = _second_family(m, r_plus)
     if not h:
         raise ArithmeticError("deflated obstruction vanished identically")
     return roots_in_interval(h, Fraction(-1), Fraction(0), tol)
@@ -426,8 +436,7 @@ def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, A
         raise DegreeTooHigh(f"degree {degree(F)} exceeds cap {d + 1}")
     if beta * beta <= alpha * alpha:
         raise SingularParameters("need |alpha| < |beta|")
-    e = lcm(alpha.denominator, beta.denominator)
-    A, B = alpha.numerator * (e // alpha.denominator), beta.numerator * (e // beta.denominator)
+    (A, B), _ = ints_over((alpha, beta))
     new_r = []
     scale, denom = 1, B * B - A * A
     for d_a, _, r in data.components:
@@ -441,7 +450,7 @@ def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, A
         denom *= pole ** d_a
     a_pows = list(accumulate([(A, -B)] * (len(F) - 1), imul, initial=(1,)))
     b_pows = list(accumulate([(B, -A)] * (d + 1), imul, initial=(1,)))
-    f_den = lcm(*(c.denominator for c in F))
-    out = ilin(*(((-1) ** k * scale * c.numerator * (f_den // c.denominator),
-                  imul(a_pows[k], b_pows[d + 1 - k])) for k, c in enumerate(F) if c))
+    f, f_den = ints_over(F)
+    out = ilin(*(((-1) ** k * scale * c, imul(a_pows[k], b_pows[d + 1 - k]))
+                 for k, c in enumerate(f) if c))
     return over(out, f_den * denom), data.with_r(new_r)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
 
-from .polynomials import Poly2, poly as upoly, psub, solve_linear
+from .polynomials import Poly2, poly as upoly, solve_linear
 
 DEFAULT_POSITIVITY_DEPTH = 20
 
@@ -271,7 +271,7 @@ def verify_boundary(data: SquareFiberData, p11: Poly2, p12: Poly2, p22: Poly2) -
                 return False
         else:
             got, q_edge, factor = entry
-            if psub(got, upoly(Fraction(factor) * c for c in q_edge)) != ():
+            if got != upoly(factor * c for c in q_edge):
                 return False
     return True
 

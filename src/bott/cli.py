@@ -259,7 +259,7 @@ def _payload_for(args, limits: Limits):
         if args.scan_bases:
             return {choice: _cone_json(*cone)
                     for choice, cone in bfan.kahler_cone_scan(A).items()}, None
-        basis = args.basis or "u" * A.n
+        basis = _given(args.basis, "u" * A.n)
         return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis))}, None
 
     if cmd == "roots":
@@ -321,6 +321,7 @@ def _payload_for(args, limits: Limits):
             F = adm.extremal_polynomial(data).F
         if args.alpha is None:
             raise ValueError("provide --alpha")
+        adm.check_bits(args.alpha, args.beta)
         if args.trajectory is not None:
             # (step, r1, r2) along the straight parameter path from 0 to alpha
             steps = args.trajectory

@@ -1,27 +1,31 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomials: integer root isolation, linear solves and Poly2.
 
 Univariate polynomials are tuples of Fractions, constant term first,
 normalized so the leading coefficient is nonzero (the zero polynomial is
 the empty tuple).  Large polynomials are built in integers instead: an
 IntPoly over one positive denominator kept beside it (imul, ilin), with
-`over` forming one Fraction per coefficient at the end.
+`over` forming one Fraction per coefficient at the end.  Its inverse,
+ints_over, is the one place rationals are scaled to integers by the lcm
+of their denominators.
 
-Real roots are found on integer polynomials.  roots_in_interval scales p
-by a positive rational to coprime integers f and builds one Sturm chain:
-the primitive remainder sequence of f and f', which ends in gcd(f, f'),
-each member divided by that gcd, so chain[0] is the squarefree part.  The
-isolation, its root counts and the sign bisection in refine_root all read
-that chain.  Pseudo-remainders multiply by |leading coefficient| instead
-of dividing, then divide by their content: sign variations are those of
-the classical chain and coefficients do not grow along it.  The sign of
-an integer polynomial at x = p/q (q > 0) is that of the homogenized sum
-of c_i p^i q^(d - i), so no Fraction arithmetic happens per evaluation;
-refine_root keeps its bracket as two integer numerators over a
-denominator that doubles with each halving.  Multiple roots are reported
-once; exact rational roots come back exactly, others within tolerance.
+Real roots are found on integer polynomials, on one path.  _sturm_chain
+scales p by a positive rational to coprime integers f and runs the only
+remainder sequence here: the primitive remainder sequence of f and f',
+which ends in gcd(f, f'), each member divided by that gcd, so chain[0]
+is the squarefree part.  The isolation and its root counts read the
+chain, and refine_root bisects chain[0].  Pseudo-remainders multiply by
+|leading coefficient| instead of dividing, then divide by their content:
+sign variations are those of the classical chain and coefficients do not
+grow along it.  The sign of an integer polynomial at x = p/q (q > 0) is
+that of the homogenized sum of c_i p^i q^(d - i), so no Fraction
+arithmetic happens per evaluation; refine_root keeps its bracket as two
+integer numerators over a denominator that doubles with each halving.
+Multiple roots are reported once; exact rational roots come back
+exactly, others within tolerance.
 
 solve_fraction_free is the package's one exact linear solver: Bareiss
-elimination in integers (Bareiss 1968); solve_linear returns Fractions.
+elimination in integers (Bareiss 1968); solve_linear returns Fractions,
+and lagrange_interpolate is a Vandermonde solve through it.
 
 Poly2 is a thin bivariate companion, also integers over one denominator,
 with just the operations the square-fiber solver needs: ring arithmetic,
@@ -45,54 +49,8 @@ def poly(coeffs: Iterable) -> Poly:
     return tuple(out)
 
 
-ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
-
-
 def degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def padd(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly(out)
-
-
-def pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def psub(p: Poly, q: Poly) -> Poly:
-    return padd(p, pneg(q))
-
-
-def pscale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return tuple(c * a for a in p)
-
-
-def pmul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
-def ppow(p: Poly, k: int) -> Poly:
-    out = ONE
-    for _ in range(k):
-        out = pmul(out, p)
-    return out
 
 
 def peval(p: Poly, x) -> Fraction:
@@ -105,16 +63,6 @@ def peval(p: Poly, x) -> Fraction:
 
 def pderiv(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i)
-
-
-def pinteg(p: Poly) -> Poly:
-    """Antiderivative with zero constant term."""
-    return poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)])
-
-
-def definite_integral(p: Poly, a, b) -> Fraction:
-    anti = pinteg(p)
-    return peval(anti, b) - peval(anti, a)
 
 
 # -- real roots on integer polynomials (constant term first; see the module
@@ -150,6 +98,16 @@ def over(num: Sequence[int], den: int) -> Poly:
     return tuple(Fraction(c, den) for c in ilin((1, num)))
 
 
+def ints_over(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """(nums, den): values = nums / den, den > 0 the lcm of their denominators.
+
+    The inverse of over, and the one rational-to-integer scaling.
+    """
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def homogeneous_value(f: Sequence[int], num: int, den: int) -> int:
     """den^deg f times f(num / den): the sum of c_i num^i den^(deg - i)."""
     acc = 0
@@ -166,13 +124,12 @@ def _content_free(ints: Sequence[int]) -> IntPoly:
     return tuple(c // content for c in ints)
 
 
-def _primitive(p: Sequence) -> IntPoly:
+def _primitive(p: Sequence[int | Fraction]) -> IntPoly:
     """p times a positive rational: coprime integers, same signs and roots."""
-    p = poly(p)
-    if not p:
-        return ()
-    den = lcm(*(c.denominator for c in p))
-    return _content_free([c.numerator * (den // c.denominator) for c in p])
+    f, _ = ints_over(p)
+    while f and not f[-1]:
+        f.pop()
+    return _content_free(f) if f else ()
 
 
 def _int_deriv(f: IntPoly) -> IntPoly:
@@ -201,13 +158,6 @@ def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
     return _content_free(rem) if rem else ()
 
 
-def _int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd up to sign, by the primitive remainder sequence."""
-    while b:
-        a, b = b, _prem(a, b)
-    return _content_free(a) if a else ()
-
-
 def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
     rem = list(a)
     deg_b = len(b) - 1
@@ -224,17 +174,7 @@ def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
     return tuple(quo)
 
 
-def _squarefree(f: IntPoly) -> IntPoly:
-    """Squarefree part of a primitive f, primitive and with f's leading sign."""
-    if len(f) < 3:
-        return f
-    g = _int_gcd(f, _int_deriv(f))
-    if len(g) == 1:
-        return f
-    return exact_quotient(f, g if g[-1] > 0 else tuple(-c for c in g))
-
-
-def _sturm_chain(p: Poly) -> list[IntPoly]:
+def _sturm_chain(p: Sequence[int | Fraction]) -> list[IntPoly]:
     """Sturm chain of the squarefree part of p; chain[0] is that part.
 
     The remainder sequence of f = _primitive(p) and f' ends in +-gcd(f, f');
@@ -302,22 +242,6 @@ def _isolate(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> list[tuple[F
     return sorted(out)
 
 
-def pgcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    g = _int_gcd(_primitive(p), _primitive(q))
-    if not g:
-        return ZERO
-    return pscale(g, Fraction(1, g[-1]))
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by the monic gcd of p and p'."""
-    if degree(p) < 1:
-        return p
-    sf = _squarefree(_primitive(p))
-    return pscale(sf, p[-1] / sf[-1])
-
-
 def count_roots_open(p: Poly, a, b) -> int:
     """Distinct real roots of p in the open interval (a, b)."""
     if not p:
@@ -338,32 +262,30 @@ def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
     return _isolate(_sturm_chain(p), Fraction(a), Fraction(b))
 
 
-def refine_root(p: Poly, lo, hi, tol, chain: Sequence[IntPoly] | None = None) -> Fraction:
-    """Bisect a sign-changing bracket down to width tol; exact roots pass through.
+def refine_root(f: IntPoly, lo, hi, tol) -> Fraction:
+    """Bisect a sign-changing bracket of f down to width tol; exact roots pass through.
 
-    Signs come from the squarefree part, chain[0] of p's Sturm chain when
-    the caller has built it.  After bisection the simplest rational in
-    the bracket is probed, so roots with small denominators come back
-    exactly.
+    f is an integer polynomial whose only root in the bracket is simple,
+    such as chain[0], the squarefree part.  After bisection the simplest
+    rational in the bracket is probed, so roots with small denominators
+    come back exactly.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo == hi:
         return lo
     tol = Fraction(tol)
-    sf = chain[0] if chain is not None else _squarefree(_primitive(p))
-    slo = _sign_at(sf, lo)
+    slo = _sign_at(f, lo)
     if slo == 0:
         return lo
-    if _sign_at(sf, hi) == 0:
+    if _sign_at(f, hi) == 0:
         return hi
     # the bracket is [a, b] / den; halving it doubles den and keeps b - a
-    den = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    (a, b), den = ints_over((lo, hi))
     width, tol_num = (b - a) * tol.denominator, tol.numerator
     while width > tol_num * den:
         mid = a + b
         den *= 2
-        smid = homogeneous_value(sf, mid, den)
+        smid = homogeneous_value(f, mid, den)
         if smid == 0:
             return Fraction(mid, den)
         if (smid > 0) == (slo > 0):
@@ -373,7 +295,7 @@ def refine_root(p: Poly, lo, hi, tol, chain: Sequence[IntPoly] | None = None) ->
     lo, hi, mid = Fraction(a, den), Fraction(b, den), Fraction(a + b, 2 * den)
     for bound in (1, 10, 1000, 10 ** 6, 10 ** 12):
         snap = mid.limit_denominator(bound)
-        if lo <= snap <= hi and _sign_at(sf, snap) == 0:
+        if lo <= snap <= hi and _sign_at(f, snap) == 0:
             return snap
     return mid
 
@@ -381,29 +303,14 @@ def refine_root(p: Poly, lo, hi, tol, chain: Sequence[IntPoly] | None = None) ->
 def roots_in_interval(p: Poly, a, b, tol) -> list[Fraction]:
     """All distinct roots of p in (a, b), each within tol of the true root.
 
-    One squarefree part and one Sturm chain serve the isolation and every
-    refinement.
+    One Sturm chain serves the isolation, and its squarefree part chain[0]
+    every refinement.
     """
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
     chain = _sturm_chain(p)
-    return [refine_root(p, lo, hi, tol, chain=chain)
+    return [refine_root(chain[0], lo, hi, tol)
             for lo, hi in _isolate(chain, Fraction(a), Fraction(b))]
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
-    result = ZERO
-    xs = [Fraction(x) for x, _ in points]
-    for i, (_, yi) in enumerate(points):
-        term = (Fraction(yi),)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                term = pmul(term, poly([-xj, 1]))
-                denom *= xs[i] - xj
-        result = padd(result, pscale(term, 1 / denom))
-    return result
 
 
 class SingularSystem(ArithmeticError):
@@ -420,10 +327,7 @@ def solve_fraction_free(rows: Sequence[Sequence[int | Fraction]],
     Raises SingularSystem when the matrix is singular.
     """
     n = len(rows)
-    aug = []
-    for row, c in zip(rows, rhs):
-        den = lcm(c.denominator, *(e.denominator for e in row))
-        aug.append([e.numerator * (den // e.denominator) for e in (*row, c)])
+    aug = [ints_over((*row, c))[0] for row, c in zip(rows, rhs)]
     prev = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if aug[r][k]), None)
@@ -450,6 +354,16 @@ def solve_linear(rows: Sequence[Sequence[int | Fraction]],
     return [Fraction(v, det) for v in y]
 
 
+def lagrange_interpolate(points: Sequence[tuple[int | Fraction, int | Fraction]]) -> Poly:
+    """Unique polynomial of degree < len(points) through the given points.
+
+    The coefficients solve the Vandermonde system; the x must be distinct.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    return poly(solve_linear([[x ** k for k in range(len(xs))] for x in xs],
+                             [Fraction(y) for _, y in points]))
+
+
 class Poly2:
     """Bivariate polynomial num / den: integer coefficients over one denominator.
 
@@ -462,9 +376,8 @@ class Poly2:
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Fraction] | None = None):
         coeffs = {key: Fraction(c) for key, c in (coeffs or {}).items()}
-        self.den = lcm(*(c.denominator for c in coeffs.values()))   # then gcd(den, *num) = 1
-        self.num = {key: c.numerator * (self.den // c.denominator)
-                    for key, c in coeffs.items() if c}
+        nums, self.den = ints_over(coeffs.values())   # then gcd(den, *num) = 1
+        self.num = {key: c for key, c in zip(coeffs, nums) if c}
 
     @classmethod
     def _of(cls, num: dict[tuple[int, int], int], den: int) -> "Poly2":

@@ -12,7 +12,6 @@ the stage-3 routines are the halved twisting degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,40 +24,6 @@ MAX_CEILING_TERMS = 50_000     # ceil(k1/k3): the terms of the N_B0 sum
 MAX_REPRESENTATIVES = 50_000   # N_B: the towers an enumeration lists
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-@dataclass(frozen=True)
-class SplitSymplecticForm:
-    """Weights of a split form sum k_i w_i, positive and weakly decreasing."""
-
-    k: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.k:
-            raise ValueError("need at least one weight")
-        if any(v <= 0 for v in self.k):
-            raise ValueError("weights must be positive")
-        if any(self.k[i] < self.k[i + 1] for i in range(len(self.k) - 1)):
-            raise ValueError("weights must be weakly decreasing")
-
-    @classmethod
-    def make(cls, weights: Sequence) -> "SplitSymplecticForm":
-        return cls(tuple(_as_fraction(v) for v in weights))
-
-    def _three(self) -> tuple[Fraction, Fraction, Fraction]:
-        if len(self.k) != 3:
-            raise ValueError("three weights required")
-        return self.k[0], self.k[1], self.k[2]
-
-    def compatible_counts(self) -> tuple[int, int, int]:
-        return count_compatible(*self._three())
-
-    def compatible_towers(self) -> list[tuple[int, int, int]]:
-        return enumerate_compatible(*self._three())
-
-
 def _check_ordered(*ks: Fraction) -> None:
     if any(k <= 0 for k in ks):
         raise ValueError("weights must be positive")
@@ -68,7 +33,7 @@ def _check_ordered(*ks: Fraction) -> None:
 
 def hirzebruch_compat_count(k1, k2) -> int:
     """Number of compatible complex structures on (S^2 x S^2, k1 w1 + k2 w2)."""
-    k1, k2 = _as_fraction(k1), _as_fraction(k2)
+    k1, k2 = Fraction(k1), Fraction(k2)
     _check_ordered(k1, k2)
     return math.ceil(k1 / k2)
 
@@ -80,7 +45,7 @@ def stage3_compatible(a: int, b: int, c: int, k1, k2, k3) -> bool:
     False whenever c (b - a c) != 0: such towers are not diffeomorphic
     to the product of spheres.
     """
-    k1, k2, k3 = map(_as_fraction, (k1, k2, k3))
+    k1, k2, k3 = map(Fraction, (k1, k2, k3))
     _check_ordered(k1, k2, k3)
     if c == 0:
         return k1 - abs(a) * k2 - abs(b) * k3 > 0
@@ -113,7 +78,7 @@ def count_compatible(k1, k2, k3) -> tuple[int, int, int]:
     the largest j keeping the respective bracket positive.  Past
     MAX_CEILING_TERMS terms it raises StageTooLarge.
     """
-    k1, k2, k3 = map(_as_fraction, (k1, k2, k3))
+    k1, k2, k3 = map(Fraction, (k1, k2, k3))
     _check_ordered(k1, k2, k3)
     terms = math.ceil(k1 / k3)
     if terms > MAX_CEILING_TERMS:
@@ -132,7 +97,7 @@ def enumerate_compatible(k1, k2, k3) -> list[tuple[int, int, int]]:
     a >= 0, c > 0 and b = a c.  Their number matches count_compatible,
     which is taken first: past MAX_REPRESENTATIVES it raises StageTooLarge.
     """
-    k1, k2, k3 = map(_as_fraction, (k1, k2, k3))
+    k1, k2, k3 = map(Fraction, (k1, k2, k3))
     n_b = count_compatible(k1, k2, k3)[2]
     if n_b > MAX_REPRESENTATIVES:
         raise StageTooLarge(f"N_B = {n_b} exceeds bound {MAX_REPRESENTATIVES}")
@@ -183,7 +148,7 @@ def product_class_is_kahler(A: BottMatrix, k: Sequence) -> bool:
     diffeomorphism to the product of spheres forces alpha_j^2 = 0.
     """
     n = A.n
-    ks = [_as_fraction(v) for v in k]
+    ks = [Fraction(v) for v in k]
     if len(ks) != n:
         raise ValueError("need one weight per stage")
     if any(v <= 0 for v in ks):
@@ -212,7 +177,7 @@ def twist1_compatible(k: Sequence[int], r: Sequence) -> bool:
     The flipped stages impose r_i > -k_i r_{N+1}; the rest only need
     positivity.
     """
-    rs = [_as_fraction(v) for v in r]
+    rs = [Fraction(v) for v in r]
     if len(rs) != len(k) + 1:
         raise ValueError("need len(k) + 1 coefficients")
     if any(v <= 0 for v in rs):

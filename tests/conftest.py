@@ -11,7 +11,8 @@ equation itself, integrability is sampled on a grid of rational points,
 positivity is certified on Fraction boxes with Fraction interval bounds
 and on integer boxes with monomial bounds, the extremal profile, its
 c-projective image and the CSC expansion are computed with Fraction
-polynomials, Poly2 is checked against a dict of Fractions, linear
+polynomials (their ring operations, padd to definite_integral, live
+here: the library computes in integers), Poly2 is checked against a dict of Fractions, linear
 systems and determinants are eliminated over Fractions, real roots are isolated with Sturm chains over Fraction coefficients
 (Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
@@ -44,19 +45,11 @@ from bott.fan import SupportFunction, rays
 from bott.polynomials import (
     Poly,
     SingularSystem,
-    definite_integral,
     degree,
     lagrange_interpolate,
-    padd,
     pderiv,
     peval,
-    pinteg,
-    pmul,
-    pneg,
     poly,
-    ppow,
-    pscale,
-    psub,
 )
 from bott.topology3 import stage3_invariants
 
@@ -517,6 +510,64 @@ def apply_signed_permutation_generic(A: BottMatrix, sigma: Sequence[int],
         if rows[i][i] != 1 or any(rows[i][j] for j in range(i + 1, n)):
             return None
     return BottMatrix.from_rows(rows)
+
+
+# -- rational polynomial arithmetic -------------------------------------------
+
+ZERO: Poly = ()
+ONE: Poly = (Fraction(1),)
+
+
+def padd(p: Poly, q: Poly) -> Poly:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return poly(out)
+
+
+def pneg(p: Poly) -> Poly:
+    return tuple(-c for c in p)
+
+
+def psub(p: Poly, q: Poly) -> Poly:
+    return padd(p, pneg(q))
+
+
+def pscale(p: Poly, c) -> Poly:
+    c = Fraction(c)
+    if c == 0:
+        return ZERO
+    return tuple(c * a for a in p)
+
+
+def pmul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return ZERO
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return poly(out)
+
+
+def ppow(p: Poly, k: int) -> Poly:
+    out = ONE
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def pinteg(p: Poly) -> Poly:
+    """Antiderivative with zero constant term."""
+    return poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)])
+
+
+def definite_integral(p: Poly, a, b) -> Fraction:
+    anti = pinteg(p)
+    return peval(anti, b) - peval(anti, a)
 
 
 # -- real roots over Fraction coefficients -----------------------------------

@@ -14,11 +14,13 @@ from bott import cohomology as coh
 from bott import fan as bfan
 from bott import symplectic as sp
 from bott.core import BottMatrix, equivalence_orbit
-from bott.polynomials import pmul, poly, pscale
+from bott.polynomials import poly
 from conftest import (
     determinant_oracle,
     full_scan_orbit,
     orbit_closure_oracle,
+    pmul,
+    pscale,
     support_eval_oracle,
 )
 from test_almostkahler import derive_system

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bott import admissible as adm
 from bott.core import StageTooLarge
-from bott.polynomials import degree, ilin, pderiv, peval, pmul, poly, pscale, psub
+from bott.polynomials import degree, ilin, pderiv, peval, poly
 from conftest import (
     cproj_transform_oracle,
     csc_condition_expansion_oracle,
@@ -21,6 +21,9 @@ from conftest import (
     fractions,
     is_positive_on_interval_oracle,
     p_c_oracle,
+    pmul,
+    pscale,
+    psub,
 )
 
 TOL = Fraction(1, 10 ** 12)
@@ -500,6 +503,22 @@ class TestSizeBounds:
                      lambda: adm.AdmissibleData.make([(1, Fraction(1, top), Fraction(1, 2))])):
             with pytest.raises(StageTooLarge):
                 call()
+
+    def test_tolerance_bits(self):
+        top = 2 ** adm.MAX_TOLERANCE_BITS
+        largest = Fraction(1, top - 1)
+        assert adm.csc_family_solve(3, Fraction(1, 3), largest) == [Fraction(-1, 3)]
+        # a tolerance past the interval's width ends every bisection at once
+        assert adm.csc_family_solve(2, Fraction(2, 3), Fraction(top - 1, 3)) == \
+            adm.csc_family_solve(2, Fraction(2, 3), 1)
+        assert list(adm.csc_family_sweep(1, Fraction(1, 2), largest)) == \
+            [(Fraction(1, 2), Fraction(-1, 2))]
+        for refused in (Fraction(1, top), Fraction(top, 3)):
+            for call in (lambda: adm.csc_family_solve(3, Fraction(1, 3), refused),
+                         lambda: adm.csc_second_family_roots(3, Fraction(1, 3), refused),
+                         lambda: adm.csc_family_sweep(1, Fraction(1, 2), refused)):
+                with pytest.raises(StageTooLarge):
+                    call()
 
     def test_sweep_points(self):
         largest = Fraction(1, adm.MAX_SWEEP_POINTS + 1)

@@ -4,10 +4,12 @@ import io
 import json
 import runpy
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bott import admissible as adm
 from bott import cli
@@ -449,7 +451,10 @@ class TestErrors:
         assert run(["csc-family", "--m", "2", "--rplus", "4094/4095"]).exit_code == 0
         accepted = '{"components": [{"d": 1, "s": "4095", "r": "4094/4095"}]}'
         assert run(["extremal-poly", "--data", accepted]).exit_code == 0
+        assert run(["cproj", "--data", KS_DATA, "--alpha=-4094/4095", "--beta=4095"]).exit_code == 0
         for argv in (["csc-family", "--m", "2", "--rplus", "4095/4096"],
+                     ["cproj", "--data", KS_DATA, "--alpha=1/4096"],
+                     ["cproj", "--data", KS_DATA, "--alpha=1/3", "--beta=4096", "--trajectory=5"],
                      ["csc-family", "--m", "2", "--sweep", "2049/4096"],
                      ["extremal-poly", "--data",
                       '{"components": [{"d": 1, "s": "4096", "r": "1/2"}]}'],
@@ -457,6 +462,25 @@ class TestErrors:
                       '{"components": [{"d": 1, "s": "2", "r": "-4095/4096"}]}']):
             result = run(argv)
             assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
+    def test_tolerance_bits_bound(self, tmp_path):
+        assert adm.MAX_TOLERANCE_BITS == 256
+        largest, refused = f"1/{2 ** 256 - 1}", f"1/{2 ** 256}"
+        single = ["csc-family", "--m", "3", "--rplus", "1/3", "--tolerance"]
+        sweep = ["csc-family", "--m", "1", "--sweep", "1/2", "--tolerance"]
+        assert run(single + [largest]).payload["roots"] == ["-1/3"]
+        assert run(sweep + [largest]).exit_code == 0
+        cfg = tmp_path / "limits.json"
+        cfg.write_text(json.dumps({"csc_tolerance": refused}), encoding="utf-8")
+        for argv in (single + [refused], sweep + [refused], single + ["1e-10000"],
+                     ["--config", str(cfg), "csc-family", "--m", "3", "--rplus", "1/3"]):
+            result = run(argv)
+            assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
+    @pytest.mark.parametrize("basis", ["", "vuu", "uu", "uxu", "uuuu"])
+    def test_malformed_cone_basis(self, basis):
+        result = run(["cone", "--stage3", "-1", "2", "-3", "--basis", basis])
+        assert (result.exit_code, result.payload["error"]) == (1, "invalid_input")
 
     def test_singular_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha", "1", "--beta", "1"])
@@ -469,6 +493,113 @@ class TestErrors:
             code = main(["twist", "--stage3", "0", "1", "-1"])
         assert code == 0
         assert json.loads(out.getvalue()) == 1
+
+
+# argv for the CLI-contract fuzz.  Half of the values are small and mostly
+# valid, so commands run to the end; the rest are tiny or huge rationals, as
+# fractions and with exponents, and text that is no number.  Two known costs
+# are kept out: sweeps keep to steps with denominators up to 25, because a
+# sweep costs one solve per step and at m = 16 one solve can take 0.5 s, and
+# exponents stop at 5,000 (20,000 in tolerances), because parsing
+# Fraction("1e-10000000") alone takes seconds.
+_junk_text = st.sampled_from(["", " ", "x", "1/2/3", "nan", "inf", "-", "1/0", "0x10"])
+_extreme_text = st.one_of(
+    st.integers(-10 ** 60, 10 ** 60).map(str),
+    st.builds("{}/{}".format, st.integers(-10 ** 60, 10 ** 60), st.integers(0, 10 ** 60)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-5000, 5000)),
+    _junk_text,
+)
+_positive_text = st.integers(2, 16).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}"))        # in (0, 1)
+_unit_text = st.one_of(_positive_text, _positive_text.map("-{}".format))
+_rational_text = st.one_of(_unit_text, st.integers(-20, 20).map(str), _extreme_text)
+_int_text = st.one_of(st.integers(-5, 8).map(str), _extreme_text)
+_tolerance_text = st.one_of(_rational_text, st.builds("1e-{}".format, st.integers(0, 20000)))
+_step_text = st.one_of(st.builds("{}/{}".format, st.integers(-3, 25), st.integers(-1, 25)),
+                       _junk_text, st.sampled_from(["0", "1", "1/1002", "1e-9", "1e400"]))
+_json_value = st.one_of(_unit_text, _rational_text, st.integers(-5, 5),
+                        st.floats(-2, 2, allow_nan=False), st.none())
+_valid_component = st.fixed_dictionaries(
+    {"d": st.integers(1, 3), "s": _rational_text, "r": _unit_text})
+_component = st.one_of(_valid_component, st.fixed_dictionaries({
+    "d": st.one_of(st.integers(-1, 25), st.sampled_from(["1", True, 1.5])),
+    "s": _json_value, "r": _json_value}))
+_data_text = st.one_of(
+    st.lists(_valid_component, min_size=1, max_size=3).map(lambda c: json.dumps({"components": c})),
+    st.lists(_component, min_size=1, max_size=3).map(lambda c: json.dumps({"components": c})),
+    st.sampled_from(["{", "{}", '{"components": []}', '{"components": 3}',
+                     '{"components": [1]}', '{"components": [{"d": 1}]}']),
+)
+
+
+# the bidegree (1,-1) family, whose profile has degree <= dim + 1 as cproj needs
+_ks_data_text = st.integers(2, 16).flatmap(lambda q: st.integers(1, q - 1).map(
+    lambda p: json.dumps(adm.ks_data(Fraction(p, q)).to_json())))
+
+
+@st.composite
+def _csc_family_argv(draw):
+    m = draw(st.one_of(st.integers(1, 8), st.integers(-1, 17), _junk_text))
+    argv = ["csc-family", f"--m={m}"]
+    flags = draw(st.one_of(st.just(["--rplus"]), st.just(["--sweep"]),
+                           st.lists(st.sampled_from(["--rplus", "--sweep"]), max_size=2)))
+    for flag in flags:
+        value = st.one_of(_positive_text, _rational_text) if flag == "--rplus" else _step_text
+        argv.append(f"{flag}={draw(value)}")
+    if draw(st.booleans()):
+        argv.append(f"--tolerance={draw(_tolerance_text)}")
+    if draw(st.booleans()):
+        argv.append("--csv")
+    return argv
+
+
+@st.composite
+def _cproj_argv(draw):
+    argv = ["cproj", "--data", draw(st.one_of(_ks_data_text, _data_text))]
+    if draw(st.sampled_from([True, True, True, False])):
+        argv.append(f"--alpha={draw(st.one_of(_unit_text, _rational_text))}")
+    if draw(st.booleans()):
+        argv.append(f"--beta={draw(_rational_text)}")
+    if draw(st.booleans()):
+        argv.append("--poly=" + ",".join(draw(st.lists(_rational_text, max_size=27))))
+    if draw(st.booleans()):
+        argv.append(f"--trajectory={draw(st.integers(-1, 501))}")
+    return argv
+
+
+_contract_argv = st.one_of(
+    _csc_family_argv(),
+    st.builds(lambda data: ["extremal-poly", "--data", data], _data_text),
+    _cproj_argv(),
+    st.builds(lambda *xs: ["ak-solve", *xs], st.one_of(_positive_text, _rational_text),
+              _int_text, _int_text),
+)
+
+
+class TestContract:
+    """Any argv: exit 0, 1 or 2, an error JSON with exit 1, no traceback, no hang."""
+
+    @given(_contract_argv)
+    @settings(max_examples=200, deadline=None)
+    @example(["csc-family", "--m=3", "--rplus=1/3", "--tolerance=1e-10000"])
+    @example(["csc-family", "--m=16", "--sweep=1/2", "--tolerance=1e-20000", "--csv"])
+    @example(["csc-family", "--m=16", "--rplus=1e-5000"])
+    @example(["extremal-poly", "--data", '{"components": [{"d": 1, "s": "2", "r": 0.4}]}'])
+    @example(["cproj", "--data", KS_DATA, "--alpha=1e-5000", "--trajectory=500"])
+    @example(["ak-solve", "1e-5000", "1", "1"])
+    def test_admissible_commands(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            error = json.loads(err.getvalue())["error"]
+            assert error in {*cli.DOMAIN_ERRORS.values(), "invalid_input"}
+        elif code == 0:
+            assert out.getvalue() and not err.getvalue()
 
 
 class TestConfig:

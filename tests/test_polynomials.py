@@ -9,35 +9,34 @@ from bott.polynomials import (
     Poly2,
     SingularSystem,
     count_roots_open,
-    definite_integral,
     degree,
+    imul,
     isolate_roots,
     lagrange_interpolate,
     pderiv,
     peval,
-    pgcd,
-    pinteg,
-    pmul,
     poly,
-    ppow,
-    pscale,
-    psub,
     refine_root,
     roots_in_interval,
     solve_fraction_free,
     solve_linear,
-    squarefree_part,
 )
 from conftest import (
     FractionPoly2,
     _solve,
     bounds_on_box_oracle,
     count_roots_open_oracle,
+    definite_integral,
     determinant_oracle,
     isolate_roots_oracle,
+    padd,
     pdiv_exact,
     pdivmod,
     pgcd_oracle,
+    pinteg,
+    pmul,
+    ppow,
+    pscale,
     refine_root_oracle,
     roots_in_interval_oracle,
     squarefree_part_oracle,
@@ -53,13 +52,11 @@ sparse_polys = st.lists(st.one_of(st.just(Fraction(0)), small_fracs),
 class TestRingOps:
     @given(polys, polys, polys)
     def test_mul_distributes(self, p, q, r):
-        from bott.polynomials import padd
         assert pmul(p, padd(q, r)) == padd(pmul(p, q), pmul(p, r))
 
     @given(polys, nonzero_polys)
     @settings(max_examples=80)
     def test_divmod_identity(self, p, q):
-        from bott.polynomials import padd
         quo, rem = pdivmod(p, q)
         assert padd(pmul(quo, q), rem) == p
         assert degree(rem) < degree(q) or rem == ()
@@ -67,13 +64,6 @@ class TestRingOps:
     @given(polys)
     def test_derivative_of_antiderivative(self, p):
         assert pderiv(pinteg(p)) == p
-
-    @given(nonzero_polys, nonzero_polys)
-    @settings(max_examples=60)
-    def test_gcd_divides(self, p, q):
-        g = pgcd(p, q)
-        assert pdivmod(p, g)[1] == ()
-        assert pdivmod(q, g)[1] == ()
 
     def test_exact_division_raises_on_remainder(self):
         with pytest.raises(ValueError):
@@ -117,12 +107,6 @@ class TestRoots:
         p = ppow(poly([Fraction(-1, 2), 1]), 3)
         assert count_roots_open(p, 0, 1) == 1
         assert roots_in_interval(p, 0, 1, Fraction(1, 10 ** 9)) == [Fraction(1, 2)]
-
-    def test_squarefree_part(self):
-        p = pmul(ppow(poly([1, 1]), 2), poly([-3, 1]))
-        sf = squarefree_part(p)
-        assert degree(sf) == 2
-        assert peval(sf, -1) == 0 and peval(sf, 3) == 0
 
     def test_isolation_intervals_disjoint(self):
         p = pmul(pmul(poly([-1, 1]), poly([Fraction(-9, 8), 1])), poly([1, 1]))
@@ -172,10 +156,12 @@ class TestAgainstFractionSturm:
     @given(linear_factors, scales, st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_squarefree_part_and_gcd(self, roots, scale, quadratic):
+        # chain[0] is the squarefree part, and times gcd(p, p') it gives p back
         p = from_roots(roots, scale, quadratic)
-        assert squarefree_part(p) == squarefree_part_oracle(p)
-        q = pderiv(p)
-        assert pgcd(p, q) == pgcd_oracle(p, q)
+        sf = polynomials._sturm_chain(p)[0]
+        assert sf == polynomials._primitive(squarefree_part_oracle(p))
+        g = polynomials._primitive(pgcd_oracle(p, pderiv(p)))
+        assert imul(sf, g) == polynomials._primitive(p)
 
     # sparse coefficients give remainder sequences whose degree drops by
     # more than one, where a negative leading coefficient flips signs
@@ -207,7 +193,8 @@ class TestAgainstFractionSturm:
     def test_refine_root_integer_bisection(self, roots, scale, quadratic, lo, hi, tol):
         p = from_roots(roots, scale, quadratic)
         lo, hi = min(lo, hi), max(lo, hi)
-        assert refine_root(p, lo, hi, tol) == refine_root_oracle(p, lo, hi, tol)
+        sf = polynomials._sturm_chain(p)[0]
+        assert refine_root(sf, lo, hi, tol) == refine_root_oracle(p, lo, hi, tol)
 
     # the remainder sequence of f and f' ends in gcd(f, f'); with repeated
     # roots every chain member is divided by it, and the chain must still
@@ -218,10 +205,11 @@ class TestAgainstFractionSturm:
     @settings(max_examples=60, deadline=None)
     @example([(Fraction(1, 2), 3), (Fraction(-1, 3), 2)], Fraction(-7, 3), False)
     @example([(Fraction(-1), 2), (Fraction(2), 1)], Fraction(1), False)
+    @example([(Fraction(-1), 2), (Fraction(3), 1)], Fraction(1), False)
     def test_one_remainder_sequence_chain(self, roots, scale, quadratic):
         p = from_roots([r for r, k in roots for _ in range(k)], scale, quadratic)
         chain = polynomials._sturm_chain(p)
-        assert chain[0] == polynomials._squarefree(polynomials._primitive(p))
+        assert chain[0] == polynomials._primitive(squarefree_part_oracle(p))
         assert all(math.gcd(*f) == 1 for f in chain)
         points = sorted({r for r, _ in roots})
         spans = [(-3, 3), (points[0] - 1, points[-1]), (points[0], points[-1] + 1),
@@ -231,7 +219,7 @@ class TestAgainstFractionSturm:
             assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
 
     def test_one_chain_per_isolation(self, monkeypatch):
-        calls = {"_int_gcd": 0, "_squarefree": 0, "_sturm_chain": 0}
+        calls = {"_sturm_chain": 0}
         for name in calls:
             real = getattr(polynomials, name)
 
@@ -243,7 +231,7 @@ class TestAgainstFractionSturm:
         p = from_roots([Fraction(-1, 2)] * 2 + [Fraction(1, 3), Fraction(1, 5), 0], 3, True)
         found = roots_in_interval(p, -2, 2, Fraction(1, 10 ** 12))
         assert len(found) == 6
-        assert calls == {"_int_gcd": 0, "_squarefree": 0, "_sturm_chain": 1}
+        assert calls == {"_sturm_chain": 1}
 
 
 class TestPoly2:

@@ -15,24 +15,23 @@ CENSUS_521 = {
 
 class TestSplitForm:
     def test_validation(self):
-        sp.SplitSymplecticForm.make((5, 2, 1))
+        sp.count_compatible(5, 2, 1)
         with pytest.raises(ValueError):
-            sp.SplitSymplecticForm.make((2, 5, 1))
+            sp.count_compatible(2, 5, 1)
         with pytest.raises(ValueError):
-            sp.SplitSymplecticForm.make((2, 0))
+            sp.hirzebruch_compat_count(2, 0)
         with pytest.raises(ValueError):
-            sp.SplitSymplecticForm.make(())
+            sp.enumerate_compatible(2, 5, 1)
 
     def test_rational_weights(self):
-        form = sp.SplitSymplecticForm.make(("11/2", 3, "1/2"))
-        assert form.k == (Fraction(11, 2), Fraction(3), Fraction(1, 2))
+        assert sp.count_compatible("11/2", 3, "1/2") == \
+            sp.count_compatible(Fraction(11, 2), Fraction(3), Fraction(1, 2))
+        assert sp.enumerate_compatible("11/2", 3, "1/2") == \
+            sp.enumerate_compatible(Fraction(11, 2), Fraction(3), Fraction(1, 2))
 
     def test_form_methods(self):
-        form = sp.SplitSymplecticForm.make((11, 6, 1))
-        assert form.compatible_counts() == (16, 27, 43)
-        assert len(form.compatible_towers()) == 43
-        with pytest.raises(ValueError):
-            sp.SplitSymplecticForm.make((2, 1)).compatible_counts()
+        assert sp.count_compatible(11, 6, 1) == (16, 27, 43)
+        assert len(sp.enumerate_compatible(11, 6, 1)) == 43
 
 
 class TestHirzebruchCount:

@@ -98,6 +98,13 @@ class TestRoots:
         found = roots_in_interval(p, -6, 6, Fraction(1, 10 ** 9))
         assert found == [Fraction(r) for r in distinct]
 
+    def test_squarefree_part(self):
+        # chain[0] of the Sturm chain is the squarefree part of p
+        p = pmul(ppow(poly([1, 1]), 2), poly([-3, 1]))
+        sf = polynomials._sturm_chain(p)[0]
+        assert degree(sf) == 2
+        assert peval(sf, -1) == 0 and peval(sf, 3) == 0
+
     def test_endpoint_roots_excluded(self):
         p = pmul(poly([-1, 1]), poly([2, 1]))
         assert count_roots_open(p, -2, 1) == 0

@@ -17,6 +17,7 @@ rational arithmetic; the only iteration is bisection with exact signs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -101,7 +102,7 @@ class AdmissibleData:
             if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
                 raise ValueError(f"s and r must be integers or rational strings, "
                                  f"got {value!r}")
-            return Fraction(value)
+            return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
         try:
             data = cls(tuple((d, exact(s), exact(r)) for d, s, r in components))
@@ -226,7 +227,7 @@ def is_positive_on_interval(F: Poly) -> bool:
     """Whether F > 0 on the open interval (-1, 1); F must vanish at +-1.
 
     F is scaled to integers, (1 - z^2) is divided out exactly in Z, and
-    the integer Sturm chain counts the roots of the quotient.
+    Descartes' rule of signs counts the roots of the quotient.
     """
     if not F:
         return False
@@ -270,6 +271,23 @@ def check_bits(*values: Fraction, bound: int = MAX_RATIONAL_BITS) -> None:
         if bits > bound:
             raise StageTooLarge(f"a numerator or denominator of {bits} bits exceeds "
                                 f"bound of {bound} bits")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing first (StageTooLarge) what Fraction would expand past
+    every bit bound: n 10^e, 10 not dividing n, fits in MAX_TOLERANCE_BITS bits only
+    if n has at most that many digits and |e| is below it (e of 0 as written)."""
+    if match := re.fullmatch(r"\s*[-+]?(?=\d|\.\d)(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?\s*",
+                             text.replace("_", ""), re.I):
+        whole, part, exp = match.groups("")
+        digits = (whole + part).rstrip("0")
+        e = int(exp or 0) if len(exp.lstrip("+-0")) < 19 else 10 ** 19
+        if n := digits.lstrip("0"):   # e becomes the power of ten of n's last digit
+            e += len(whole) - len(digits)
+        if len(n) > MAX_TOLERANCE_BITS or abs(e) > MAX_TOLERANCE_BITS:
+            raise StageTooLarge(f"a decimal past 10^+-{MAX_TOLERANCE_BITS} or {MAX_TOLERANCE_BITS} "
+                                f"digits exceeds bound of {MAX_TOLERANCE_BITS} bits")
+    return Fraction(text)
 
 
 def _csc_args(m: int, r_plus) -> Fraction:
@@ -353,7 +371,7 @@ def csc_condition_polynomial(m: int, r_plus) -> Poly:
 def csc_family_solve(m: int, r_plus, tolerance) -> list[Fraction]:
     """All roots of the CSC obstruction in r_minus over (-1, 0).
 
-    Roots are isolated with Sturm sequences on the exact integer
+    Roots are isolated by Descartes' rule of signs on the exact integer
     polynomial and refined by sign bisection to within the tolerance, so
     double points (family crossings) are found as well.
     """
@@ -418,36 +436,42 @@ def csc_family_sweep(m: int, step, tolerance,
     return rows()
 
 
-def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, AdmissibleData]:
-    """Change of admissible profile along a fractional momentum reparametrization.
-
-    Sends F to (beta - alpha z)^(d+1) F((alpha - beta z)/(alpha z - beta))
-    normalized by (beta^2 - alpha^2) prod (beta - alpha r_a)^{d_a}, and
-    each parameter r to (beta r - alpha)/(beta - alpha r).  Requires
-    |alpha| < |beta| (else the reparametrization has a pole in the
-    momentum interval) and deg F <= d + 1 for a polynomial image.  In
-    integers, with alpha = A/e, beta = B/e and r_a = n_a/q_a, the image is
-    prod q_a^(d_a) sum_k (-1)^k F_k (A - B z)^k (B - A z)^(d+1-k) over
-    (B^2 - A^2) prod (B q_a - A n_a)^(d_a).
-    """
-    F, alpha, beta = poly(F), Fraction(alpha), Fraction(beta)
-    d = data.dim
-    if degree(F) > d + 1:
-        raise DegreeTooHigh(f"degree {degree(F)} exceeds cap {d + 1}")
+def cproj_parameters(data: AdmissibleData, alpha, beta) -> tuple[Fraction, ...]:
+    """(beta r - alpha)/(beta - alpha r) for each r; SingularParameters unless |alpha| < |beta|."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
     if beta * beta <= alpha * alpha:
         raise SingularParameters("need |alpha| < |beta|")
     (A, B), _ = ints_over((alpha, beta))
     new_r = []
-    scale, denom = 1, B * B - A * A
-    for d_a, _, r in data.components:
+    for _, _, r in data.components:
         pole, image = B * r.denominator - A * r.numerator, B * r.numerator - A * r.denominator
         if pole == 0:
             raise SingularParameters("parameter pole: beta = alpha * r")
         if image == 0:
             raise SingularParameters("parameter collapses to zero")
         new_r.append(Fraction(image, pole))
-        scale *= r.denominator ** d_a
-        denom *= pole ** d_a
+    return tuple(new_r)
+
+
+def cproj_transform(F: Poly, data: AdmissibleData, alpha, beta) -> tuple[Poly, AdmissibleData]:
+    """Change of admissible profile along a fractional momentum reparametrization.
+
+    Sends F to (beta - alpha z)^(d+1) F((alpha - beta z)/(alpha z - beta))
+    normalized by (beta^2 - alpha^2) prod (beta - alpha r_a)^{d_a}, and
+    the parameters by cproj_parameters.  Requires deg F <= d + 1 for a
+    polynomial image.  In integers, with alpha = A/e, beta = B/e and
+    r_a = n_a/q_a, the image is prod q_a^(d_a) sum_k (-1)^k F_k
+    (A - B z)^k (B - A z)^(d+1-k) over (B^2 - A^2) prod (B q_a - A n_a)^(d_a).
+    """
+    F, alpha, beta = poly(F), Fraction(alpha), Fraction(beta)
+    d = data.dim
+    if degree(F) > d + 1:
+        raise DegreeTooHigh(f"degree {degree(F)} exceeds cap {d + 1}")
+    new_r = cproj_parameters(data, alpha, beta)
+    (A, B), _ = ints_over((alpha, beta))
+    scale = prod(r.denominator ** d_a for d_a, _, r in data.components)
+    denom = (B * B - A * A) * prod((B * r.denominator - A * r.numerator) ** d_a
+                                   for d_a, _, r in data.components)
     a_pows = list(accumulate([(A, -B)] * (len(F) - 1), imul, initial=(1,)))
     b_pows = list(accumulate([(B, -A)] * (d + 1), imul, initial=(1,)))
     f, f_den = ints_over(F)

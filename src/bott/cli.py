@@ -35,8 +35,14 @@ from .core import (
 )
 from .polynomials import poly
 
+
+class ArgumentTooLarge(Exception):
+    """StageTooLarge from an argument's type, which argparse would report as exit 2."""
+
+
 DOMAIN_ERRORS = {
     StageTooLarge: "stage_too_large",
+    ArgumentTooLarge: "stage_too_large",
     adm.PoleHit: "pole_hit",
     adm.DegreeTooHigh: "degree_too_high",
     adm.SingularParameters: "singular_parameters",
@@ -58,7 +64,9 @@ class CommandResult:
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return adm.parse_rational(text)
+    except StageTooLarge as exc:
+        raise ArgumentTooLarge(exc) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
@@ -316,7 +324,7 @@ def _payload_for(args, limits: Limits):
         if args.poly is not None:
             if not args.poly.strip():
                 raise ValueError("--poly needs at least one coefficient")
-            F = poly(Fraction(c) for c in args.poly.split(","))
+            F = poly(adm.parse_rational(c) for c in args.poly.split(","))
         else:
             F = adm.extremal_polynomial(data).F
         if args.alpha is None:
@@ -330,13 +338,11 @@ def _payload_for(args, limits: Limits):
             if steps > TRAJECTORY_BOUND:
                 raise StageTooLarge(f"trajectory of {steps} steps exceeds bound "
                                     f"{TRAJECTORY_BOUND}")
+            adm.cproj_transform(F, data, 0, args.beta)   # the degree (and beta) checked once
             rows = []
             for step in range(steps + 1):
-                if step == 0:
-                    r_now = data.r_list()
-                else:
-                    alpha = Fraction(step, steps) * args.alpha
-                    r_now = adm.cproj_transform(F, data, alpha, args.beta)[1].r_list()
+                r_now = (adm.cproj_parameters(data, Fraction(step, steps) * args.alpha, args.beta)
+                         if step else data.r_list())
                 rows.append((step, float(r_now[0]),
                              float(r_now[1]) if len(r_now) > 1 else ""))
             return None, (("step", "r1", "r2"), rows)
@@ -413,8 +419,8 @@ def csc_sweep_rows(ms: Sequence[int], step, tolerance,
 
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         payload, table = _payload_for(args, load_limits(args.config))
     except tuple(DOMAIN_ERRORS) as exc:
         code = DOMAIN_ERRORS[type(exc)]

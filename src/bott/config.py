@@ -4,7 +4,8 @@ The config path is taken from the BOTT_CONFIG environment variable (or
 passed explicitly); individual CLI flags override file values.  A file
 that cannot be read or parsed, that holds a key other than the fields of
 Limits, or that holds a value of the wrong type, raises OSError or
-ValueError; the CLI answers either with invalid_input.
+ValueError; the CLI answers either with invalid_input (stage_too_large for
+a csc_tolerance past every bit bound: admissible.parse_rational).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .admissible import DEFAULT_CSC_TOLERANCE
+from .admissible import DEFAULT_CSC_TOLERANCE, parse_rational
 from .almostkahler import DEFAULT_POSITIVITY_DEPTH
 from .core import DEFAULT_STAGE_BOUND
 
@@ -55,7 +56,7 @@ def load_limits(path: str | None = None) -> Limits:
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"csc_tolerance must be a number or a rational string, "
                              f"got {value!r}")
-        tol = Fraction(str(value))
+        tol = parse_rational(str(value))
         if tol <= 0:
             raise ValueError("csc_tolerance must be positive")
         updates["csc_tolerance"] = tol

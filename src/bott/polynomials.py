@@ -8,18 +8,13 @@ IntPoly over one positive denominator kept beside it (imul, ilin), with
 ints_over, is the one place rationals are scaled to integers by the lcm
 of their denominators.
 
-Real roots are found on integer polynomials, on one path.  _sturm_chain
-scales p by a positive rational to coprime integers f and runs the only
-remainder sequence here: the primitive remainder sequence of f and f',
-which ends in gcd(f, f'), each member divided by that gcd, so chain[0]
-is the squarefree part.  The isolation and its root counts read the
-chain, and refine_root bisects chain[0].  Pseudo-remainders multiply by
-|leading coefficient| instead of dividing, then divide by their content:
-sign variations are those of the classical chain and coefficients do not
-grow along it.  The sign of an integer polynomial at x = p/q (q > 0) is
-that of the homogenized sum of c_i p^i q^(d - i), so no Fraction
-arithmetic happens per evaluation; refine_root keeps its bracket as two
-integer numerators over a denominator that doubles with each halving.
+Real roots are found on integer polynomials by Descartes' rule of signs
+(Collins & Akritas 1976; Rouillier & Zimmermann 2004) on the dyadic tree
+of (a, b), mapped to (0, 1) by one Taylor shift.  The tree needs the
+squarefree part: f itself when gcd(f, f') = 1 modulo 2^61 - 1, and only
+otherwise the one remainder sequence here.  The sign of f at x = p/q
+(q > 0) is that of the homogenized sum of c_i p^i q^(d - i), so
+refine_root bisects two integer numerators over a doubling denominator.
 Multiple roots are reported once; exact rational roots come back
 exactly, others within tolerance.
 
@@ -36,6 +31,7 @@ unit square is certified in the Bernstein basis (almostkahler).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -65,8 +61,8 @@ def pderiv(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i)
 
 
-# -- real roots on integer polynomials (constant term first; see the module
-# docstring for why positive rescaling is free) --------------------------
+# -- real roots on integer polynomials (constant term first; scaling by a
+# positive rational keeps roots and signs) ---------------------------------
 
 IntPoly = tuple[int, ...]
 
@@ -174,99 +170,106 @@ def exact_quotient(a: IntPoly, b: IntPoly) -> IntPoly:
     return tuple(quo)
 
 
-def _sturm_chain(p: Sequence[int | Fraction]) -> list[IntPoly]:
-    """Sturm chain of the squarefree part of p; chain[0] is that part.
-
-    The remainder sequence of f = _primitive(p) and f' ends in +-gcd(f, f');
-    every member divided by that gcd, leading positively, is primitive
-    (Gauss's lemma), and they form a Sturm chain of f / gcd.
-    """
-    chain = [_primitive(p)]
-    if len(chain[0]) > 1:
-        chain.append(_content_free(_int_deriv(chain[0])))
-        while rem := _prem(chain[-2], chain[-1]):
-            chain.append(tuple(-c for c in rem))
-        g = chain[-1]
-        if len(g) > 1:
-            g = g if g[-1] > 0 else tuple(-c for c in g)
-            chain = [exact_quotient(f, g) for f in chain]
-    return chain
-
-
 def _sign_at(f: IntPoly, x: Fraction) -> int:
     """Sign of f(p/q) from the homogenized sum of c_i p^i q^(d - i), q > 0."""
     acc = homogeneous_value(f, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
-    count = 0
-    last = 0
-    for f in chain:
-        s = _sign_at(f, x)
-        if s:
-            if last and s != last:
-                count += 1
-            last = s
-    return count
+def _coprime_to_derivative(f: IntPoly) -> bool:
+    """gcd(f, f') = 1 modulo a prime not dividing lc f, which proves f squarefree."""
+    prime = 2 ** 61 - 1
+    a, b = [c % prime for c in f], [c % prime for c in _int_deriv(f)]
+    while a[-1] and len(b) > 1:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            factor, shift = a.pop() * inv, len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - factor * c) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
-def _count(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots in the open interval (a, b), for a < b."""
-    count = _variations(chain, a) - _variations(chain, b)
-    if _sign_at(chain[0], b) == 0:
-        count -= 1
-    return count
+def _divide_out_gcd(f: IntPoly) -> IntPoly:
+    """f / gcd(f, f') in Z[x], by the primitive remainder sequence of f and f'."""
+    a, b = f, _content_free(_int_deriv(f))
+    while rem := _prem(a, b):
+        a, b = b, rem
+    return exact_quotient(f, b if b[-1] > 0 else tuple(-c for c in b))
 
 
-def _isolate(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    sf = chain[0]
-    out: list[tuple[Fraction, Fraction]] = []
+def _shift(lead: Sequence[int], c: int = 1) -> list[int]:
+    """Coefficients of f(x + c) from those of f, leading first: Horner's rule pass by pass."""
+    step = None if c == 1 else (lambda acc, x: acc * c + x)
+    f = list(lead)
+    for stop in range(len(f), 1, -1):
+        f[:stop] = accumulate(f[:stop], step)
+    return f
 
-    def recurse(lo: Fraction, hi: Fraction, n_roots: int) -> None:
-        if n_roots == 0:
-            return
-        if n_roots == 1 and _sign_at(sf, lo) * _sign_at(sf, hi) < 0:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if _sign_at(sf, mid) == 0:
-            out.append((mid, mid))
-        left = _count(chain, lo, mid)
-        right = _count(chain, mid, hi)
-        recurse(lo, mid, left)
-        recurse(mid, hi, right)
 
-    if a < b:
-        recurse(a, b, _count(chain, a, b))
-    return sorted(out)
+def _on_unit_interval(f: IntPoly, a: Fraction, b: Fraction) -> list[int]:
+    """den^d f(a + (b - a) x) for a = A/den, b = B/den: (a, b) becomes (0, 1)."""
+    (num_a, num_b), den = ints_over((a, b))
+    g = _shift([c * den ** i for i, c in enumerate(reversed(f))], num_a)[::-1]
+    return [c * (num_b - num_a) ** k for k, c in enumerate(g)]
+
+
+def _descartes(q: Sequence[int]) -> int:
+    """Sign variations of (x + 1)^d q(1/(x + 1)): roots of q in (0, 1) or more, same parity."""
+    signs = [c > 0 for c in _shift(q) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(q: list[int], a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Brackets in (a, b) of the roots of squarefree q on (0, 1): nodes of its dyadic tree.
+
+    Node (k, k + 1) / 2^j holds 2^(jd) q((k + x) / 2^j).  It is kept when it has
+    one variation and changes sign at its ends, and else halved into 2^d times it
+    at x/2 and that shifted by 1; a root at the middle is exact.
+    """
+    d, nodes = len(q) - 1, []
+
+    def recurse(q: list[int], k: int, j: int) -> None:
+        variations = _descartes(q)
+        if variations == 1 and q[0] and sum(q):
+            nodes.append((Fraction(k, 1 << j), Fraction(k + 1, 1 << j)))
+        elif variations:
+            left = [c << (d - i) for i, c in enumerate(q)]
+            right = _shift(left[::-1])[::-1]
+            if not right[0]:
+                nodes.append((Fraction(2 * k + 1, 2 << j),) * 2)
+            recurse(left, 2 * k, j + 1)
+            recurse(right, 2 * k + 1, j + 1)
+
+    recurse(q, 0, 0)
+    return sorted((a + (b - a) * lo, a + (b - a) * hi) for lo, hi in nodes)
+
+
+def _squarefree_brackets(p: Sequence[int | Fraction], a, b) -> tuple[IntPoly, list]:
+    """(f, brackets of p's distinct roots in (a, b)); with a root, f is p's squarefree part."""
+    if not p:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    f, a, b = _primitive(p), Fraction(a), Fraction(b)
+    if a >= b or not _descartes(q := _on_unit_interval(f, a, b)):
+        return f, []
+    if len(f) > 2 and not _coprime_to_derivative(f):
+        f = _divide_out_gcd(f)
+        q = _on_unit_interval(f, a, b)
+    return f, _isolate(q, a, b)
 
 
 def count_roots_open(p: Poly, a, b) -> int:
     """Distinct real roots of p in the open interval (a, b)."""
-    if not p:
-        raise ValueError("zero polynomial has no root count")
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        return 0
-    return _count(_sturm_chain(p), a, b)
-
-
-def isolate_roots(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals inside (a, b), each holding one distinct root.
-
-    Exact roots are returned as degenerate intervals.
-    """
-    if not p:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate(_sturm_chain(p), Fraction(a), Fraction(b))
+    return len(_squarefree_brackets(p, a, b)[1])
 
 
 def refine_root(f: IntPoly, lo, hi, tol) -> Fraction:
     """Bisect a sign-changing bracket of f down to width tol; exact roots pass through.
 
     f is an integer polynomial whose only root in the bracket is simple,
-    such as chain[0], the squarefree part.  After bisection the simplest
+    such as the squarefree part of p.  After bisection the simplest
     rational in the bracket is probed, so roots with small denominators
     come back exactly.
     """
@@ -303,14 +306,10 @@ def refine_root(f: IntPoly, lo, hi, tol) -> Fraction:
 def roots_in_interval(p: Poly, a, b, tol) -> list[Fraction]:
     """All distinct roots of p in (a, b), each within tol of the true root.
 
-    One Sturm chain serves the isolation, and its squarefree part chain[0]
-    every refinement.
+    The squarefree part is found once, and refines every bracket.
     """
-    if not p:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    chain = _sturm_chain(p)
-    return [refine_root(chain[0], lo, hi, tol)
-            for lo, hi in _isolate(chain, Fraction(a), Fraction(b))]
+    f, brackets = _squarefree_brackets(p, a, b)
+    return [refine_root(f, lo, hi, tol) for lo, hi in brackets]
 
 
 class SingularSystem(ArithmeticError):

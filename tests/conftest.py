@@ -14,7 +14,9 @@ c-projective image and the CSC expansion are computed with Fraction
 polynomials (their ring operations, padd to definite_integral, live
 here: the library computes in integers), Poly2 is checked against a dict of Fractions, linear
 systems and determinants are eliminated over Fractions, real roots are isolated with Sturm chains over Fraction coefficients
-(Euclidean gcd, rebuilt on every call), the CSC obstruction is evaluated
+(Euclidean gcd, rebuilt on every call) and, where that is too slow, with
+an integer Sturm chain instead of the library's Descartes' rule of
+signs, the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
 values, stage-3 diffeomorphism is decided invariant by invariant
 without the canonical key, and twist-one diffeomorphism is decided by
@@ -29,6 +31,7 @@ from typing import Iterator, Optional, Sequence
 from hypothesis import strategies as st
 
 from bott import almostkahler as ak
+from bott import polynomials as ipoly
 
 from bott.core import (
     BottMatrix,
@@ -43,6 +46,7 @@ from bott.core import (
 )
 from bott.fan import SupportFunction, rays
 from bott.polynomials import (
+    IntPoly,
     Poly,
     SingularSystem,
     degree,
@@ -701,6 +705,59 @@ def refine_root_oracle(p: Poly, lo: Fraction, hi: Fraction, tol) -> Fraction:
 
 def roots_in_interval_oracle(p: Poly, a, b, tol) -> list[Fraction]:
     return [refine_root_oracle(p, lo, hi, tol) for lo, hi in isolate_roots_oracle(p, a, b)]
+
+
+# -- an integer Sturm chain (one primitive remainder sequence), an isolation
+# independent of Descartes' rule of signs and fast enough at m = 16 -----------
+
+def sturm_chain_int_oracle(p) -> list[IntPoly]:
+    """Sturm chain of the squarefree part of p in integers; chain[0] is that part.
+
+    The primitive remainder sequence of f = p scaled to coprime integers
+    and f' ends in +-gcd(f, f'); every member divided by that gcd is a
+    Sturm chain of f / gcd.
+    """
+    chain = [ipoly._primitive(p)]
+    if len(chain[0]) > 1:
+        chain.append(ipoly._content_free(ipoly._int_deriv(chain[0])))
+        while rem := ipoly._prem(chain[-2], chain[-1]):
+            chain.append(tuple(-c for c in rem))
+        g = chain[-1]
+        if len(g) > 1:
+            g = g if g[-1] > 0 else tuple(-c for c in g)
+            chain = [ipoly.exact_quotient(f, g) for f in chain]
+    return chain
+
+
+def _count_int_oracle(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
+    def variations(x):
+        signs = [s for s in (ipoly._sign_at(f, x) for f in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b) - (ipoly._sign_at(chain[0], b) == 0)
+
+
+def sturm_roots_int_oracle(p, a, b, tol) -> list[Fraction]:
+    """roots_in_interval through the integer Sturm chain and its bisection tree."""
+    chain = sturm_chain_int_oracle(p)
+    sf, out = chain[0], []
+
+    def recurse(lo, hi, n_roots):
+        if n_roots == 0:
+            return
+        if n_roots == 1 and ipoly._sign_at(sf, lo) * ipoly._sign_at(sf, hi) < 0:
+            out.append((lo, hi))
+            return
+        mid = (lo + hi) / 2
+        if ipoly._sign_at(sf, mid) == 0:
+            out.append((mid, mid))
+        recurse(lo, mid, _count_int_oracle(chain, lo, mid))
+        recurse(mid, hi, _count_int_oracle(chain, mid, hi))
+
+    a, b = Fraction(a), Fraction(b)
+    if a < b:
+        recurse(a, b, _count_int_oracle(chain, a, b))
+    return [ipoly.refine_root(sf, lo, hi, tol) for lo, hi in sorted(out)]
 
 
 # -- the CSC obstruction from its integrals -------------------------------------

@@ -147,7 +147,7 @@ def test_criterion_08_csc_condition_and_second_family():
             assert adm.csc_condition(m, r, -r) == 0
     # Second family existence for m in {2,3,4}, probed at r+ in {0.2, 0.5, 0.8}.
     # The family only covers the upper part of the parameter interval: at
-    # r+ = 0.2 an exact Sturm count certifies there is no off-family root,
+    # r+ = 0.2 an exact root count certifies there is no off-family root,
     # while at r+ = 0.5 the family crosses the balanced one at -1/2 and at
     # r+ = 0.8 the root is genuinely separate.  Existence per m is what the
     # qualitative claim pins down; the full probe table is frozen below.

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,6 +352,16 @@ class TestCscFamilySolve:
             assert lo == 0 or hi == 0 or lo * hi < 0
 
 
+@st.composite
+def admissible_data(draw, max_components=3, max_d=3):
+    comps = []
+    for _ in range(draw(st.integers(1, max_components))):
+        q = draw(st.integers(2, 12))
+        r = Fraction(draw(st.sampled_from((-1, 1))) * draw(st.integers(1, q - 1)), q)
+        comps.append((draw(st.integers(1, max_d)), draw(fractions(9, 5)), r))
+    return adm.AdmissibleData.make(comps)
+
+
 class TestCProjective:
     def test_identity(self):
         data = adm.ks_data(Fraction(2, 5))
@@ -417,15 +428,19 @@ class TestCProjective:
         with pytest.raises(adm.SingularParameters):
             adm.cproj_transform(F, data, Fraction(2, 5), 1)   # beta r = alpha
 
-
-@st.composite
-def admissible_data(draw, max_components=3, max_d=3):
-    comps = []
-    for _ in range(draw(st.integers(1, max_components))):
-        q = draw(st.integers(2, 12))
-        r = Fraction(draw(st.sampled_from((-1, 1))) * draw(st.integers(1, q - 1)), q)
-        comps.append((draw(st.integers(1, max_d)), draw(fractions(9, 5)), r))
-    return adm.AdmissibleData.make(comps)
+    @given(admissible_data(), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+           st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+    @settings(max_examples=80, deadline=None)
+    def test_parameters_alone(self, data, alpha, beta):
+        # the parameters of the image without F, with the same refusals
+        F = poly([1, 0, -1])
+        try:
+            _, image = adm.cproj_transform(F, data, alpha, beta)
+        except adm.SingularParameters as exc:
+            with pytest.raises(adm.SingularParameters, match=str(exc).replace("|", r"\|")):
+                adm.cproj_parameters(data, alpha, beta)
+            return
+        assert adm.cproj_parameters(data, alpha, beta) == image.r_list()
 
 
 class TestAgainstFractionOracles:
@@ -519,6 +534,57 @@ class TestSizeBounds:
                          lambda: adm.csc_family_sweep(1, Fraction(1, 2), refused)):
                 with pytest.raises(StageTooLarge):
                     call()
+
+    @given(st.sampled_from(["", "-", "+", " "]), st.text("0123456789", max_size=6),
+           st.one_of(st.none(), st.text("0123456789", max_size=6)),
+           st.one_of(st.none(), st.integers(-600, 600)))
+    @settings(max_examples=200)
+    def test_parse_rational_matches_fraction(self, sign, whole, part, exp):
+        # equal to Fraction(text) where it answers; a refusal only where the
+        # numerator or denominator is past the largest bit bound (or a zero
+        # is written with an exponent past it)
+        text = sign + whole + ("" if part is None else "." + part) + \
+            ("" if exp is None else f"e{exp}")
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                adm.parse_rational(text)
+            return
+        try:
+            assert adm.parse_rational(text) == expected
+        except StageTooLarge:
+            bits = max(abs(expected.numerator), expected.denominator).bit_length()
+            assert bits > adm.MAX_TOLERANCE_BITS or (expected == 0 and abs(exp) > 256)
+
+    @pytest.mark.parametrize("text", [
+        "1e-10000000", "1E10000000", "-1e-1_000_000_000", "0e99999999", "0.5e-99999999999999999999",
+        "1" * 300, "1." + "1" * 300, "1e+" + "9" * 5000,
+    ])
+    def test_parse_rational_refuses_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(StageTooLarge):
+            adm.parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_parse_rational_edges(self):
+        bound = adm.MAX_TOLERANCE_BITS
+        assert adm.parse_rational(f"1e{bound}") == 10 ** bound
+        assert adm.parse_rational(f"3e-{bound}") == Fraction(3, 10 ** bound)
+        assert adm.parse_rational("9" * bound) == int("9" * bound)
+        # zeros around the significant digits move the power of ten only
+        assert adm.parse_rational("1" + "0" * 400 + "e-400") == 1
+        assert adm.parse_rational("0." + "0" * 300) == 0
+        assert adm.parse_rational(" -12_5e-2 ") == Fraction(-5, 4)
+        assert adm.parse_rational("1_0/3_0") == Fraction(1, 3)
+        for text in (f"1e{bound + 1}", f"1e-{bound + 1}", "9" * (bound + 1)):
+            with pytest.raises(StageTooLarge):
+                adm.parse_rational(text)
+        for text in ("1e", "1__0", "e5", "1/0x", "nan"):
+            with pytest.raises(ValueError):
+                adm.parse_rational(text)
+        with pytest.raises(StageTooLarge):
+            adm.AdmissibleData.make([(1, "2e-99999999", Fraction(1, 2))])
 
     def test_sweep_points(self):
         largest = Fraction(1, adm.MAX_SWEEP_POINTS + 1)

@@ -236,6 +236,19 @@ class TestAdmissibleCommands:
         assert result.payload["error"] == "invalid_input"
         assert result.text is None
 
+    # a trajectory computes only the parameters of each step, so the degree
+    # of F is checked once, before the first step, and each step's own
+    # refusal is that of the whole transform at its alpha
+    @pytest.mark.parametrize("extra, error, message", [
+        (["--alpha=-5/19", "--poly=0,0,0,0,0,1"], "degree_too_high", "degree 5 exceeds cap 4"),
+        (["--alpha=4/5"], "singular_parameters", "parameter collapses to zero"),
+        (["--alpha=-5/19", "--beta=0"], "singular_parameters", "need |alpha| < |beta|"),
+        (["--alpha=2", "--beta=3/2"], "singular_parameters", "need |alpha| < |beta|"),
+    ])
+    def test_cproj_trajectory_refusals(self, extra, error, message):
+        result = run(["cproj", "--data", KS_DATA, *extra, "--trajectory", "4"])
+        assert (result.exit_code, result.payload) == (1, {"error": error, "message": message})
+
     @pytest.mark.parametrize("argv", [
         ["--m", "2", "--rplus", "1/3", "--sweep", "1/4"], ["--m", "2"],
     ])
@@ -429,6 +442,33 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.payload["error"] == "stage_too_large"
 
+    # every rational read from text goes through one parser, which refuses a
+    # power of ten past every bit bound before expanding it
+    @pytest.mark.parametrize("argv", [
+        ["csc-family", "--m=2", "--rplus=1e-100000000"],
+        ["csc-family", "--m=2", "--rplus=1/3", "--tolerance=1e-100000000"],
+        ["csc-family", "--m=2", "--sweep=1e-1_000_000_000"],
+        ["cproj", "--data", KS_DATA, "--alpha=1e-100000000"],
+        ["cproj", "--data", KS_DATA, "--alpha=1/5", "--beta=-1e100000000"],
+        ["cproj", "--data", KS_DATA, "--alpha=1/5", "--poly=1,0e99999999,-1"],
+        ["extremal-poly", "--data", '{"components": [{"d": 1, "s": "2e99999999", "r": "1/2"}]}'],
+        ["ak-solve", "1e-100000000", "1", "1"],
+        ["symplectic-count", "1e100000000", "1", "1"],
+        ["compat-enumerate", "3", "2", "1e-100000000"],
+    ])
+    def test_huge_exponents_refused_at_once(self, argv):
+        start = time.perf_counter()
+        result = run(argv)
+        assert time.perf_counter() - start < 1
+        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
+    def test_malformed_rationals_still_parse_errors(self):
+        for text in ("1e", "1__0", "1/2/3"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["csc-family", "--m=2", f"--rplus={text}"]) == 2
+            assert "not a rational" in err.getvalue()
+
     def test_admissible_bounds_largest_accepted(self, monkeypatch, capsys):
         assert (adm.MAX_CSC_M, adm.MAX_DIM, adm.MAX_SWEEP_POINTS) == (16, 24, 1000)
         assert cli.TRAJECTORY_BOUND == 500
@@ -497,16 +537,15 @@ class TestErrors:
 
 # argv for the CLI-contract fuzz.  Half of the values are small and mostly
 # valid, so commands run to the end; the rest are tiny or huge rationals, as
-# fractions and with exponents, and text that is no number.  Two known costs
-# are kept out: sweeps keep to steps with denominators up to 25, because a
-# sweep costs one solve per step and at m = 16 one solve can take 0.5 s, and
-# exponents stop at 5,000 (20,000 in tolerances), because parsing
-# Fraction("1e-10000000") alone takes seconds.
+# fractions and with exponents of any size, and text that is no number.
+# Sweeps keep to steps with denominators up to 25, because a sweep costs
+# one solve per step.
 _junk_text = st.sampled_from(["", " ", "x", "1/2/3", "nan", "inf", "-", "1/0", "0x10"])
+_exponent = st.one_of(st.integers(-5000, 5000), st.integers(-10 ** 12, 10 ** 12))
 _extreme_text = st.one_of(
     st.integers(-10 ** 60, 10 ** 60).map(str),
     st.builds("{}/{}".format, st.integers(-10 ** 60, 10 ** 60), st.integers(0, 10 ** 60)),
-    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-5000, 5000)),
+    st.builds("{}e{}".format, st.integers(-9, 9), _exponent),
     _junk_text,
 )
 _positive_text = st.integers(2, 16).flatmap(
@@ -514,7 +553,7 @@ _positive_text = st.integers(2, 16).flatmap(
 _unit_text = st.one_of(_positive_text, _positive_text.map("-{}".format))
 _rational_text = st.one_of(_unit_text, st.integers(-20, 20).map(str), _extreme_text)
 _int_text = st.one_of(st.integers(-5, 8).map(str), _extreme_text)
-_tolerance_text = st.one_of(_rational_text, st.builds("1e-{}".format, st.integers(0, 20000)))
+_tolerance_text = st.one_of(_rational_text, st.builds("1e-{}".format, _exponent.map(abs)))
 _step_text = st.one_of(st.builds("{}/{}".format, st.integers(-3, 25), st.integers(-1, 25)),
                        _junk_text, st.sampled_from(["0", "1", "1/1002", "1e-9", "1e400"]))
 _json_value = st.one_of(_unit_text, _rational_text, st.integers(-5, 5),
@@ -587,6 +626,8 @@ class TestContract:
     @example(["extremal-poly", "--data", '{"components": [{"d": 1, "s": "2", "r": 0.4}]}'])
     @example(["cproj", "--data", KS_DATA, "--alpha=1e-5000", "--trajectory=500"])
     @example(["ak-solve", "1e-5000", "1", "1"])
+    @example(["csc-family", "--m=16", "--rplus=1e-10000000", "--tolerance=1e-1000000000"])
+    @example(["cproj", "--data", KS_DATA, "--alpha=1/3", "--poly=1,1e10000000"])
     def test_admissible_commands(self, argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
@@ -645,6 +686,14 @@ class TestConfig:
         result = run(["orbit", "--stage3", "0", "0", "0"])
         assert result.exit_code == 1
         assert result.payload["error"] == "invalid_input"
+
+    def test_huge_tolerance_exponent_refused(self, tmp_path):
+        cfg = tmp_path / "limits.json"
+        cfg.write_text('{"csc_tolerance": "1e-100000000"}', encoding="utf-8")
+        start = time.perf_counter()
+        result = run(["--config", str(cfg), "csc-family", "--m=2", "--rplus=1/3"])
+        assert time.perf_counter() - start < 1
+        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
 
     def test_valid_config_values(self, tmp_path):
         cfg = tmp_path / "limits.json"

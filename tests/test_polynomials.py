@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bott import admissible as adm
 from bott import polynomials
 from bott.polynomials import (
     Poly2,
@@ -11,7 +12,6 @@ from bott.polynomials import (
     count_roots_open,
     degree,
     imul,
-    isolate_roots,
     lagrange_interpolate,
     pderiv,
     peval,
@@ -40,6 +40,7 @@ from conftest import (
     refine_root_oracle,
     roots_in_interval_oracle,
     squarefree_part_oracle,
+    sturm_roots_int_oracle,
 )
 
 small_fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -99,10 +100,12 @@ class TestRoots:
         assert found == [Fraction(r) for r in distinct]
 
     def test_squarefree_part(self):
-        # chain[0] of the Sturm chain is the squarefree part of p
+        # with a repeated root in the interval, the isolation and the
+        # refinement run on the squarefree part of p
         p = pmul(ppow(poly([1, 1]), 2), poly([-3, 1]))
-        sf = polynomials._sturm_chain(p)[0]
-        assert degree(sf) == 2
+        sf, brackets = polynomials._squarefree_brackets(p, -2, 4)
+        assert sf == polynomials._divide_out_gcd(polynomials._primitive(p))
+        assert degree(sf) == 2 and len(brackets) == 2
         assert peval(sf, -1) == 0 and peval(sf, 3) == 0
 
     def test_endpoint_roots_excluded(self):
@@ -117,7 +120,7 @@ class TestRoots:
 
     def test_isolation_intervals_disjoint(self):
         p = pmul(pmul(poly([-1, 1]), poly([Fraction(-9, 8), 1])), poly([1, 1]))
-        spans = isolate_roots(p, -2, 2)
+        spans = polynomials._squarefree_brackets(p, -2, 2)[1]
         assert len(spans) == 3
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 <= a2
@@ -145,8 +148,26 @@ def from_roots(roots, scale, quadratic=False):
     return p
 
 
+def assert_matches_oracle(p, a, b, tol=Fraction(1, 10 ** 9)):
+    """Counts and refined roots equal the Fraction-Sturm oracle's, and each
+    Descartes bracket is a node of the same dyadic tree of (a, b), nested
+    in one Sturm bracket, one to one."""
+    assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
+    assert roots_in_interval(p, a, b, tol) == roots_in_interval_oracle(p, a, b, tol)
+    got = polynomials._squarefree_brackets(p, a, b)[1]
+    want = isolate_roots_oracle(p, a, b)
+    assert len(got) == len(want)
+    for (lo, hi), (olo, ohi) in zip(got, want):
+        assert olo <= lo <= hi <= ohi
+        if lo < hi:
+            # hi - lo = (b - a) / 2^j, and lo = a + k (hi - lo)
+            width = (Fraction(hi) - lo) / (Fraction(b) - a)
+            assert width.numerator == 1 and width.denominator.bit_count() == 1
+            assert ((lo - a) / (hi - lo)).denominator == 1
+
+
 class TestAgainstFractionSturm:
-    """The integer Sturm path against the Fraction-Euclid oracle in conftest."""
+    """Descartes isolation on integers against the Fraction-Sturm oracle in conftest."""
 
     @given(linear_factors, scales, st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -154,25 +175,25 @@ class TestAgainstFractionSturm:
     @example([Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(-3)], Fraction(5), True)
     def test_root_routines(self, roots, scale, quadratic):
         p = from_roots(roots, scale, quadratic)
-        tol = Fraction(1, 10 ** 9)
         for a, b in ((-3, 3), (Fraction(-1, 3), Fraction(1, 2)), (0, 1), (-1, 0)):
-            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
-            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
-            assert roots_in_interval(p, a, b, tol) == roots_in_interval_oracle(p, a, b, tol)
+            assert_matches_oracle(p, a, b)
 
     @given(linear_factors, scales, st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_squarefree_part_and_gcd(self, roots, scale, quadratic):
-        # chain[0] is the squarefree part, and times gcd(p, p') it gives p back
+        # the fallback gives the squarefree part, which times gcd(p, p')
+        # gives p back; the modular test says coprime exactly when p is
+        # squarefree (the discriminants of these p have only small primes)
         p = from_roots(roots, scale, quadratic)
-        sf = polynomials._sturm_chain(p)[0]
+        f = polynomials._primitive(p)
+        sf = polynomials._divide_out_gcd(f)
         assert sf == polynomials._primitive(squarefree_part_oracle(p))
         g = polynomials._primitive(pgcd_oracle(p, pderiv(p)))
-        assert imul(sf, g) == polynomials._primitive(p)
+        assert imul(sf, g) == f
+        assert polynomials._coprime_to_derivative(f) == (degree(g) == 0)
 
-    # sparse coefficients give remainder sequences whose degree drops by
-    # more than one, where a negative leading coefficient flips signs
-    # unless the pseudo-division scales by its absolute value
+    # sparse coefficients: zero runs in the Taylor shifts, and remainder
+    # sequences whose degree drops by more than one in the fallback
     @given(sparse_polys, small_fracs)
     @settings(max_examples=100, deadline=None)
     @example(poly([0, 1, 0, -1]), Fraction(1, 2))
@@ -180,8 +201,22 @@ class TestAgainstFractionSturm:
     @example(poly([-2, 4, -1, 0, -1]), Fraction(1))
     def test_random_polynomials(self, p, x):
         for a, b in ((x - 2, x + 1), (-3, 3), (-4, x)):
-            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
-            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
+            assert_matches_oracle(p, a, b)
+
+    # roots at both ends of (a, b) and at its dyadic points, where the tree
+    # meets them as degenerate brackets, each with a multiplicity
+    @given(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+           st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)),
+           st.lists(st.tuples(st.integers(0, 16), st.integers(1, 3)), min_size=1, max_size=4),
+           scales, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    @example(Fraction(-1), Fraction(2), [(8, 1), (0, 2), (16, 1)], Fraction(1), False)
+    @example(Fraction(0), Fraction(1), [(4, 3), (12, 1), (5, 2)], Fraction(-3), True)
+    def test_dyadic_and_endpoint_roots(self, a, width, spots, scale, quadratic):
+        roots = [a + width * Fraction(k, 16) for k, mult in spots for _ in range(mult)]
+        p = from_roots(roots, scale, quadratic)
+        assert_matches_oracle(p, a, a + width)
+        assert_matches_oracle(p, a - width, a + width)
 
     @given(nonzero_polys, small_fracs)
     def test_sign_at_matches_horner(self, p, x):
@@ -200,12 +235,12 @@ class TestAgainstFractionSturm:
     def test_refine_root_integer_bisection(self, roots, scale, quadratic, lo, hi, tol):
         p = from_roots(roots, scale, quadratic)
         lo, hi = min(lo, hi), max(lo, hi)
-        sf = polynomials._sturm_chain(p)[0]
+        sf = polynomials._divide_out_gcd(polynomials._primitive(p))
         assert refine_root(sf, lo, hi, tol) == refine_root_oracle(p, lo, hi, tol)
 
-    # the remainder sequence of f and f' ends in gcd(f, f'); with repeated
-    # roots every chain member is divided by it, and the chain must still
-    # count and isolate exactly, also on intervals whose endpoints are roots
+    # repeated roots send the isolation through the remainder-sequence
+    # fallback, which must still count and isolate exactly, also on
+    # intervals whose endpoints are roots
     @given(st.lists(st.tuples(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 5)),
                               st.integers(1, 3)), min_size=1, max_size=4),
            scales, st.booleans())
@@ -215,30 +250,60 @@ class TestAgainstFractionSturm:
     @example([(Fraction(-1), 2), (Fraction(3), 1)], Fraction(1), False)
     def test_one_remainder_sequence_chain(self, roots, scale, quadratic):
         p = from_roots([r for r, k in roots for _ in range(k)], scale, quadratic)
-        chain = polynomials._sturm_chain(p)
-        assert chain[0] == polynomials._primitive(squarefree_part_oracle(p))
-        assert all(math.gcd(*f) == 1 for f in chain)
+        sf = polynomials._divide_out_gcd(polynomials._primitive(p))
+        assert sf == polynomials._primitive(squarefree_part_oracle(p))
+        assert math.gcd(*sf) == 1
         points = sorted({r for r, _ in roots})
         spans = [(-3, 3), (points[0] - 1, points[-1]), (points[0], points[-1] + 1),
                  *zip(points, points[1:])]
         for a, b in spans:
-            assert count_roots_open(p, a, b) == count_roots_open_oracle(p, a, b)
-            assert isolate_roots(p, a, b) == isolate_roots_oracle(p, a, b)
+            assert_matches_oracle(p, a, b)
 
     def test_one_chain_per_isolation(self, monkeypatch):
-        calls = {"_sturm_chain": 0}
-        for name in calls:
-            real = getattr(polynomials, name)
+        # the remainder sequence runs only when the modular test finds a
+        # repeated root, and then once, for the isolation and every refinement
+        calls = []
+        real = polynomials._divide_out_gcd
+        monkeypatch.setattr(polynomials, "_divide_out_gcd",
+                            lambda f: calls.append(f) or real(f))
+        tol = Fraction(1, 10 ** 12)
+        for roots, quadratic, fallbacks in [
+            ([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 5), 0], True, 0),
+            ([Fraction(-1, 2)] * 2 + [Fraction(1, 3), Fraction(1, 5), 0], True, 1),
+            ([Fraction(5), Fraction(5)], False, 0),     # no variation on (-2, 2): no gcd at all
+        ]:
+            calls.clear()
+            p = from_roots(roots, 3, quadratic)
+            assert roots_in_interval(p, -2, 2, tol) == roots_in_interval_oracle(p, -2, 2, tol)
+            assert len(calls) == fallbacks
 
-            def counted(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
+    @pytest.mark.parametrize("f, a, b, count", [
+        ((-1, 0, 2 ** 61 - 1), 0, 1, 1),            # the prime divides lc f
+        ((-(2 ** 61 - 1), 0, 1), 0, 2 ** 31, 1),    # f = x^2 mod p: gcd(f, f') = x there
+    ])
+    def test_unlucky_prime_falls_back(self, f, a, b, count):
+        # squarefree f that the modular test cannot certify: the remainder
+        # sequence finds gcd(f, f') = 1, and f is isolated as it is
+        assert not polynomials._coprime_to_derivative(f)
+        assert polynomials._divide_out_gcd(f) == f
+        assert count_roots_open(f, a, b) == count_roots_open_oracle(poly(f), a, b) == count
 
-            monkeypatch.setattr(polynomials, name, counted)
-        p = from_roots([Fraction(-1, 2)] * 2 + [Fraction(1, 3), Fraction(1, 5), 0], 3, True)
-        found = roots_in_interval(p, -2, 2, Fraction(1, 10 ** 12))
-        assert len(found) == 6
-        assert calls == {"_sturm_chain": 1}
+
+# r_plus with denominators up to 10, as in test_admissible, and a few at the
+# largest m, where the Fraction oracle is too slow but the integer Sturm
+# chain, which bisects on the same dyadic tree, is not
+SMALL_RPLUS = sorted({Fraction(p, q) for q in range(2, 11) for p in range(1, q)})
+
+
+@pytest.mark.parametrize("m, rplus", [
+    *((m, None) for m in range(1, 9)),
+    *((16, rp) for rp in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(4094, 4095))),
+])
+def test_csc_grid_matches_sturm(m, rplus):
+    tol = adm.DEFAULT_CSC_TOLERANCE
+    for rp in SMALL_RPLUS if rplus is None else [rplus]:
+        g, _ = adm._csc_obstruction(m, rp)
+        assert adm.csc_family_solve(m, rp, tol) == sturm_roots_int_oracle(g, -1, 0, tol)
 
 
 class TestPoly2:

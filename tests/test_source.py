@@ -22,19 +22,24 @@ def test_no_assert_statements(path):
 
 RATIONAL_HELPERS = {"padd", "pneg", "psub", "pscale", "pmul", "ppow", "pinteg",
                     "definite_integral", "pgcd", "squarefree_part", "_int_gcd", "_squarefree"}
+# the Sturm isolation, now the integer and Fraction oracles in tests/conftest.py
+STURM_HELPERS = {"_sturm_chain", "_variations", "_count", "isolate_roots"}
 
 
 def test_one_integer_root_path():
-    # the rational ring operations live with the oracles in tests/conftest.py,
-    # and the Sturm chain runs the package's only remainder sequence
+    # the rational ring operations and the Sturm chains live with the
+    # oracles in tests/conftest.py; roots are isolated by Descartes' rule of
+    # signs, and the package's only remainder sequence is the squarefree
+    # fallback, run when the modular test finds a repeated root
+    banned = RATIONAL_HELPERS | STURM_HELPERS
     callers = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-        assert not defined & RATIONAL_HELPERS, f"{path.name}: {sorted(defined & RATIONAL_HELPERS)}"
+        assert not defined & banned, f"{path.name}: {sorted(defined & banned)}"
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Name) and node.id in RATIONAL_HELPERS | {"_prem"}:
+                    if isinstance(node, ast.Name) and node.id in banned | {"_prem"}:
                         callers.setdefault(node.id, set()).add(fn.name)
-    assert callers == {"_prem": {"_sturm_chain"}}
+    assert callers == {"_prem": {"_divide_out_gcd"}}

@@ -52,6 +52,7 @@ DOMAIN_ERRORS = {
 
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
+CLASSES_STAGE_BOUND = 14  # `classes c|p` print up to 2^n terms: 0.5 s at n = 14
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -247,6 +248,9 @@ def _payload_for(args, limits: Limits):
 
     if cmd == "classes":
         A = _load_matrix(args)
+        if args.kind != "w2" and A.n > CLASSES_STAGE_BOUND:
+            raise StageTooLarge(f"stage {A.n} exceeds bound {CLASSES_STAGE_BOUND} "
+                                f"for classes {args.kind}")
         R = coh.ring(A)
         if args.kind == "c":
             return R.chern_total().to_json(), None

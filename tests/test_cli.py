@@ -110,6 +110,20 @@ class TestBasicCommands:
         w2 = run(["classes", "w2", "--stage3", "0", "1", "-1"]).payload
         assert w2["monomials"] == [[1], [2]]
 
+    def test_classes_stage_bound(self):
+        # c and p have up to 2^n terms; w2 is linear in n and unbounded
+        assert cli.CLASSES_STAGE_BOUND == 14
+        top = json.dumps(BottMatrix.identity(14).to_json())
+        c = run(["classes", "c", "--matrix", top])
+        assert c.exit_code == 0 and len(c.payload["terms"]) == 2 ** 14
+        assert run(["classes", "p", "--matrix", top]).payload["terms"] == [
+            {"monomial": [], "coeff": "1"}]
+        past = json.dumps(BottMatrix.identity(15).to_json())
+        for kind in "cp":
+            result = run(["classes", kind, "--matrix", past])
+            assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+        assert run(["classes", "w2", "--matrix", past]).exit_code == 0
+
     def test_class_payload_round_trip(self):
         A = BottMatrix.stage3(3, -1, 2)
         payload = run(["classes", "c", "--stage3", "3", "-1", "2"]).payload

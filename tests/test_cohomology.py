@@ -1,12 +1,13 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bott import cohomology as coh
-from bott.core import BottMatrix, twist, normalize_twist
+from bott.core import BottMatrix, equivalence_orbit, twist, normalize_twist
 from conftest import (
     bott_matrices,
     chern_total_oracle,
+    lower_triangular,
     multiply_oracle,
     pontrjagin_total_oracle,
     topological_twist0_factorization_exists,
@@ -19,6 +20,17 @@ def random_class(ring, rng, max_coeff=9):
     coeffs = {mask: rng.randint(-max_coeff, max_coeff)
               for mask in rng.sample(ring.basis_masks(), min(4, 2 ** ring.n))}
     return ring.from_terms(coeffs)
+
+
+def dense_class(ring, rng, max_coeff=9):
+    """Up to all 2^n monomials, so that terms pushed by the sweep merge."""
+    masks = rng.sample(ring.basis_masks(), rng.randint(1, 2 ** ring.n))
+    return ring.from_terms({mask: rng.randint(-max_coeff, max_coeff) for mask in masks})
+
+
+def seeded_tower(seed, n, bound):
+    rng = random.Random(seed)
+    return lower_triangular(n, [rng.randint(-bound, bound) for _ in range(n * (n - 1) // 2)])
 
 
 class TestGenerators:
@@ -95,9 +107,15 @@ class TestMultiplicationOracle:
         u, v = (random_class(R, rng) for _ in range(2))
         assert u * v == multiply_oracle(u, v)
         assert u * u == multiply_oracle(u, u)
+        if A.n <= 6:
+            u, v = (dense_class(R, rng) for _ in range(2))
+            assert u * v == multiply_oracle(u, v)
 
     @given(bott_matrices(min_stage=1, max_stage=8, max_entry=3))
     @settings(max_examples=30, deadline=None)
+    @example(seeded_tower(1, 9, 2))
+    @example(seeded_tower(2, 9, 2))
+    @example(seeded_tower(3, 9, 2))
     def test_totals_match_oracle(self, A):
         R = coh.CohomologyRing(A)
         assert R.chern_total() == chern_total_oracle(R)
@@ -109,6 +127,23 @@ class TestMultiplicationOracle:
         # c_n evaluates to chi(M_n) = 2^n on the top monomial x_1 ... x_n
         R = coh.CohomologyRing(A)
         assert R.chern_total().coefficient((1 << A.n) - 1) == 2 ** A.n
+
+    def test_linear_factor_is_one_sweep(self, monkeypatch):
+        R = coh.CohomologyRing(seeded_tower(4, 7, 2))
+        total = R.chern_total()
+        calls = []
+        sweep = coh.CohomologyRing._times_xs
+
+        def counted(ring, parts, p):
+            calls.append(sorted(parts))
+            return sweep(ring, parts, p)
+
+        monkeypatch.setattr(coh.CohomologyRing, "_times_xs", counted)
+        factor = R.one() + 2 * R.x(6) + R.alpha(6)
+        product = total * factor
+        assert len(calls) == 1
+        assert calls[0] == sorted({6} | {j for j in range(6) if R.A.rows[6][j]})
+        assert product == multiply_oracle(total, factor)
 
 
 class TestChernClasses:
@@ -276,6 +311,22 @@ class TestTopologicalTwist:
         for A in samples:
             assert (coh.topological_twist(A) == 0) == \
                 topological_twist0_factorization_exists(A), A
+
+
+class TestOrbitInvariance:
+    @given(bott_matrices(min_stage=1, max_stage=5, max_entry=3))
+    @settings(max_examples=60, deadline=None)
+    def test_cohomology_answers_constant_on_orbit(self, A):
+        # biholomorphic towers have isomorphic cohomology rings
+        def answers(B):
+            R = coh.CohomologyRing(B)
+            return (R.topological_twist(), R.is_q_trivial(), len(R.square_zero_primitives()),
+                    R.chern_total().coefficient((1 << B.n) - 1))
+
+        expected = answers(A)
+        assert expected[3] == 2 ** A.n
+        for B in equivalence_orbit(A).representatives:
+            assert answers(B) == expected, B
 
 
 class TestSerialization:

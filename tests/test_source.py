@@ -43,3 +43,22 @@ def test_one_integer_root_path():
                     if isinstance(node, ast.Name) and node.id in banned | {"_prem"}:
                         callers.setdefault(node.id, set()).add(fn.name)
     assert callers == {"_prem": {"_divide_out_gcd"}}
+
+
+def test_products_go_through_one_sweep():
+    # every product is CohomologyClass.__mul__ -> _product -> _times_xs; the
+    # per-ring memo of x_j m and its recursive expansion are gone
+    callers: dict[str, set[str]] = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not names & {"_times_x", "_times_x_memo"}, path.name
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and node.attr in ("_product", "_times_xs"):
+                        callers.setdefault(node.attr, set()).add(f"{path.stem}.{fn.name}")
+    assert callers == {"_product": {"cohomology.__mul__", "cohomology._product"},
+                       "_times_xs": {"cohomology._product"}}

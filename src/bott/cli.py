@@ -25,8 +25,8 @@ from . import cohomology as coh
 from . import fan as bfan
 from . import symplectic as sp
 from . import topology3 as t3
-from .config import Limits, load_limits
 from .core import (
+    DEFAULT_STAGE_BOUND,
     BottMatrix,
     StageTooLarge,
     cotwist,
@@ -53,6 +53,7 @@ DOMAIN_ERRORS = {
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
 CLASSES_STAGE_BOUND = 14  # `classes c|p` print up to 2^n terms: 0.5 s at n = 14
+SCAN_BASES_STAGE_BOUND = 12   # `cone --scan-bases` prints 2^(n-1) cones: 0.5 s at n = 12
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -70,11 +71,6 @@ def _frac(text: str) -> Fraction:
         raise ArgumentTooLarge(exc) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _given(flag, default):
-    """The flag's value when it was given (0 included), else the default."""
-    return default if flag is None else flag
 
 
 def _json_arg(raw: str):
@@ -135,15 +131,13 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bott",
                                      description="Exact invariants of Bott towers")
-    parser.add_argument("--config", help="path to a JSON limits file "
-                                         "(default: $BOTT_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("twist", "cotwist", "orbit", "cohomology", "reductive", "roots", "fano"):
         p = sub.add_parser(name)
         _add_matrix_args(p)
         if name in ("orbit", "reductive", "roots"):
-            p.add_argument("--stage-bound", type=int, default=None)
+            p.add_argument("--stage-bound", type=int, default=DEFAULT_STAGE_BOUND)
 
     p = sub.add_parser("classes", help="characteristic classes")
     p.add_argument("kind", choices=["c", "p", "w2"])
@@ -184,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rplus", type=_frac, help="single parameter instead of a sweep")
     p.add_argument("--sweep", type=_frac, help="sweep step over (0, 1)")
-    p.add_argument("--tolerance", type=_frac, default=None)
+    p.add_argument("--tolerance", type=_frac, default=adm.DEFAULT_CSC_TOLERANCE)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("cproj")
@@ -219,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _payload_for(args, limits: Limits):
+def _payload_for(args):
     """(payload, table) for one parsed command line.
 
     table is None, or the (header, rows) that `run` prints as CSV.  A
@@ -233,9 +227,7 @@ def _payload_for(args, limits: Limits):
         return (twist(A) if cmd == "twist" else cotwist(A)), None
 
     if cmd == "orbit":
-        A = _load_matrix(args)
-        bound = _given(args.stage_bound, limits.orbit_stage_bound)
-        return _orbit_json(equivalence_orbit(A, bound)), None
+        return _orbit_json(equivalence_orbit(_load_matrix(args), args.stage_bound)), None
 
     if cmd == "cohomology":
         A = _load_matrix(args)
@@ -269,22 +261,22 @@ def _payload_for(args, limits: Limits):
     if cmd == "cone":
         A = _load_matrix(args)
         if args.scan_bases:
+            if A.n > SCAN_BASES_STAGE_BOUND:
+                raise StageTooLarge(f"stage {A.n} exceeds bound {SCAN_BASES_STAGE_BOUND} "
+                                    "for cone --scan-bases")
             return {choice: _cone_json(*cone)
                     for choice, cone in bfan.kahler_cone_scan(A).items()}, None
-        basis = _given(args.basis, "u" * A.n)
+        basis = "u" * A.n if args.basis is None else args.basis
         return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis))}, None
 
     if cmd == "roots":
         A = _load_matrix(args)
-        bound = _given(args.stage_bound, limits.root_stage_bound)
-        roots = bfan.demazure_roots(A, bound)
+        roots = bfan.demazure_roots(A, args.stage_bound)
         return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
                 "reductive": roots.is_symmetric()}, None
 
     if cmd == "reductive":
-        A = _load_matrix(args)
-        bound = _given(args.stage_bound, limits.root_stage_bound)
-        return bfan.is_reductive(A, bound), None
+        return bfan.is_reductive(_load_matrix(args), args.stage_bound), None
 
     if cmd == "fano":
         return bfan.is_fano(_load_matrix(args)), None
@@ -312,12 +304,11 @@ def _payload_for(args, limits: Limits):
         }, None
 
     if cmd == "csc-family":
-        tol = _given(args.tolerance, limits.csc_tolerance)
         if (args.rplus is None) == (args.sweep is None):
             raise ValueError("provide exactly one of --rplus or --sweep")
         if args.sweep is not None:
-            return None, (CSC_HEADER, csc_sweep_rows([args.m], args.sweep, tol))
-        roots = adm.csc_family_solve(args.m, args.rplus, tol)
+            return None, (CSC_HEADER, csc_sweep_rows([args.m], args.sweep, args.tolerance))
+        roots = adm.csc_family_solve(args.m, args.rplus, args.tolerance)
         payload = {"m": args.m, "r_plus": str(args.rplus), "roots": [str(r) for r in roots]}
         if not args.csv:
             return payload, None
@@ -364,7 +355,7 @@ def _payload_for(args, limits: Limits):
         return {
             "solution": sol.to_json(),
             "determinant": str(ak.system_determinant(data)),
-            "positive": ak.check_positivity(data, sol, limits.positivity_depth),
+            "positive": ak.check_positivity(data, sol),
             "integrable": ak.check_integrability(data, sol),
         }, None
 
@@ -425,12 +416,11 @@ def csc_sweep_rows(ms: Sequence[int], step, tolerance,
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     try:
         args = _parser().parse_args(argv)
-        payload, table = _payload_for(args, load_limits(args.config))
+        payload, table = _payload_for(args)
     except tuple(DOMAIN_ERRORS) as exc:
         code = DOMAIN_ERRORS[type(exc)]
         return CommandResult({"error": code, "message": str(exc)}, 1)
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult({"error": "invalid_input", "message": str(exc)}, 1)
     if table is None:
         return CommandResult(payload, 0)

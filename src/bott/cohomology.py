@@ -26,6 +26,24 @@ from typing import Iterable, Mapping
 from .core import BottMatrix
 
 
+def _bits(mask: int, base: int = 0) -> list[int]:
+    """The indices of the set bits of mask, counted from base, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1 + base)
+        mask ^= low
+    return out
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The mask with the given 0-based bits set; _bits inverts it."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class CohomologyClass:
     """Element of H*(M_n(A), Z) in the square-free monomial basis."""
 
@@ -43,10 +61,7 @@ class CohomologyClass:
         """Coefficient of a monomial given as a mask or 0-based index iterable."""
         if isinstance(monomial, int):
             return self._coeffs.get(monomial, 0)
-        mask = 0
-        for i in monomial:
-            mask |= 1 << i
-        return self._coeffs.get(mask, 0)
+        return self._coeffs.get(_mask(monomial), 0)
 
     def terms(self) -> list[tuple[int, int]]:
         """(mask, coefficient) pairs in increasing mask order."""
@@ -116,15 +131,14 @@ class CohomologyClass:
             return "0"
         parts = []
         for m, c in self.terms():
-            mono = "".join(f"x{i + 1}" for i in range(self.n) if m >> i & 1) or "1"
+            mono = "".join(f"x{i}" for i in _bits(m, 1)) or "1"
             parts.append(f"{c}*{mono}" if mono != "1" else f"{c}")
         return " + ".join(parts)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "terms": [{"monomial": [i + 1 for i in range(self.n) if m >> i & 1],
-                       "coeff": str(c)} for m, c in self.terms()],
+            "terms": [{"monomial": _bits(m, 1), "coeff": str(c)} for m, c in self.terms()],
         }
 
 
@@ -139,7 +153,7 @@ class Mod2Class:
         return not self.masks
 
     def monomials(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(i for i in range(self.n) if m >> i & 1) for m in self.masks)
+        return sorted(tuple(_bits(m)) for m in self.masks)
 
 
 class CohomologyRing:
@@ -190,10 +204,7 @@ class CohomologyRing:
         return CohomologyClass(self, terms)
 
     def monomial(self, indices: Iterable[int]) -> CohomologyClass:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return CohomologyClass(self, {mask: 1})
+        return CohomologyClass(self, {_mask(indices): 1})
 
     def basis_masks(self) -> list[int]:
         return list(range(1 << self.n))
@@ -361,8 +372,6 @@ def class_from_json(A: BottMatrix, obj: dict) -> CohomologyClass:
     R = ring(A)
     coeffs: dict[int, int] = {}
     for term in obj["terms"]:
-        mask = 0
-        for i in term["monomial"]:
-            mask |= 1 << (int(i) - 1)
+        mask = _mask(int(i) - 1 for i in term["monomial"])
         coeffs[mask] = coeffs.get(mask, 0) + int(term["coeff"])
     return R.from_terms(coeffs)

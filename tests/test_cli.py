@@ -17,7 +17,7 @@ from bott import cohomology as coh
 from bott import symplectic as sp
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
-from bott.core import BottMatrix
+from bott.core import DEFAULT_STAGE_BOUND, BottMatrix
 
 KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -517,19 +517,31 @@ class TestErrors:
             result = run(argv)
             assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
 
-    def test_tolerance_bits_bound(self, tmp_path):
+    def test_tolerance_bits_bound(self):
         assert adm.MAX_TOLERANCE_BITS == 256
         largest, refused = f"1/{2 ** 256 - 1}", f"1/{2 ** 256}"
         single = ["csc-family", "--m", "3", "--rplus", "1/3", "--tolerance"]
         sweep = ["csc-family", "--m", "1", "--sweep", "1/2", "--tolerance"]
         assert run(single + [largest]).payload["roots"] == ["-1/3"]
         assert run(sweep + [largest]).exit_code == 0
-        cfg = tmp_path / "limits.json"
-        cfg.write_text(json.dumps({"csc_tolerance": refused}), encoding="utf-8")
-        for argv in (single + [refused], sweep + [refused], single + ["1e-10000"],
-                     ["--config", str(cfg), "csc-family", "--m", "3", "--rplus", "1/3"]):
+        for argv in (single + [refused], sweep + [refused], single + ["1e-10000"]):
             result = run(argv)
             assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
+    def test_scan_bases_stage_bound(self):
+        # --scan-bases lists 2^(n-1) bases; plain `cone` is O(n^2) and unbounded
+        assert cli.SCAN_BASES_STAGE_BOUND == 12
+        largest = json.dumps(BottMatrix.identity(12).to_json())
+        refused = json.dumps(BottMatrix.identity(13).to_json())
+        result = run(["cone", "--matrix", largest, "--scan-bases"])
+        assert result.exit_code == 0 and len(result.payload) == 2 ** 11
+        result = run(["cone", "--matrix", refused, "--scan-bases"])
+        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["cone", "--matrix", refused, "--scan-bases"]) == 1
+        assert json.loads(err.getvalue())["error"] == "stage_too_large"
+        assert run(["cone", "--matrix", refused]).exit_code == 0
 
     @pytest.mark.parametrize("basis", ["", "vuu", "uu", "uxu", "uuuu"])
     def test_malformed_cone_basis(self, basis):
@@ -629,20 +641,81 @@ _contract_argv = st.one_of(
 )
 
 
+# Towers for the contract fuzz: stage-3 shorthand of any arity, square
+# lower-triangular matrices up to one stage past the largest bound (small or
+# huge entries), matrices with a wrong shape, diagonal, upper entry, entry
+# type or n, and text that is no matrix.  `orbit` runs under --stage-bound 5.
+# `roots` and `reductive` stay out: at n = 3 their cost already grows with
+# the size of the entries, and no bound covers that yet.
+_entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 60, 10 ** 60))
+_bad_entry = st.sampled_from([0, 2, -1, 1.5, True, "1", None, [1]])
+_entry_text = st.one_of(_entry.map(str), _int_text)
+
+
+@st.composite
+def _matrix_text(draw):
+    n = draw(st.one_of(st.integers(1, 5), st.integers(0, 15)))
+    rows = [[draw(_entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    flaw = draw(st.sampled_from(["none", "none", "none", "cell", "ragged", "n", "rows"]))
+    if flaw == "cell" and n:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_bad_entry)
+    elif flaw == "ragged" and n:
+        rows[draw(st.integers(0, n - 1))].append(0)
+    obj = {"n": draw(st.one_of(st.just(n), st.integers(-1, 16), _bad_entry)) if flaw == "n"
+           else n, "rows": rows}
+    if flaw == "rows":
+        obj["rows"] = draw(st.one_of(_bad_entry, st.lists(_entry, max_size=3)))
+    return json.dumps(obj)
+
+
+_stage3_text = st.lists(_entry_text, min_size=3, max_size=3).map(
+    lambda xs: json.dumps({"stage3": [int(x) if x.lstrip("-").isdigit() else x for x in xs]}))
+_tower_args = st.one_of(
+    st.lists(_entry_text, min_size=0, max_size=4).map(lambda xs: ["--stage3", *xs]),
+    _matrix_text().map(lambda text: ["--matrix", text]),
+    _stage3_text.map(lambda text: ["--matrix", text]),
+    st.sampled_from([[], ["--matrix", "{"], ["--matrix", "{}"], ["--matrix", '{"n": 2}'],
+                     ["--matrix", "missing.json"], ["--matrix", ""],
+                     ["--stage3", "0", "1", "2", "--matrix", '{"stage3": [0, 1, 2]}']]),
+)
+_basis_text = st.one_of(st.text("uv", max_size=16), _junk_text)
+_weights = st.lists(st.one_of(_rational_text, _unit_text), min_size=3, max_size=3)
+
+
+@st.composite
+def _tower_argv(draw):
+    command = draw(st.sampled_from(["twist", "cotwist", "cohomology", "fano", "classes",
+                                    "orbit", "cone"]))
+    argv = [command, *draw(_tower_args)]
+    if command == "classes":
+        argv.insert(1, draw(st.sampled_from(["c", "p", "w2", "x"])))
+    elif command == "orbit":
+        argv += ["--stage-bound", "5"]
+    elif command == "cone":
+        argv += draw(st.sampled_from([[], ["--scan-bases"], ["--basis", draw(_basis_text)]]))
+    return argv
+
+
+_entries = st.one_of(st.lists(_entry.map(str), min_size=1, max_size=5),
+                    st.lists(_entry_text, max_size=5))
+_other_argv = st.sampled_from([
+    st.builds(lambda xs: ["classify3", *xs],
+              st.one_of(st.lists(_entry.map(str), min_size=3, max_size=3), _entries)),
+    st.builds(lambda k, k2: ["twist1-diffeo", "--k", *k, "--kprime", *k2], _entries, _entries),
+    st.builds(lambda r, csv: ["scan", "--radius", r, *csv],
+              st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["7", "8"]), _int_text),
+              st.sampled_from([[], ["--csv"]])),
+    st.builds(lambda ks, e: ["symplectic-count", *ks, *e], _weights,
+              st.sampled_from([[], ["--enumerate"]])),
+    st.builds(lambda ks: ["compat-enumerate", *ks], _weights),
+]).flatmap(lambda strategy: strategy)
+
+
 class TestContract:
     """Any argv: exit 0, 1 or 2, an error JSON with exit 1, no traceback, no hang."""
 
-    @given(_contract_argv)
-    @settings(max_examples=200, deadline=None)
-    @example(["csc-family", "--m=3", "--rplus=1/3", "--tolerance=1e-10000"])
-    @example(["csc-family", "--m=16", "--sweep=1/2", "--tolerance=1e-20000", "--csv"])
-    @example(["csc-family", "--m=16", "--rplus=1e-5000"])
-    @example(["extremal-poly", "--data", '{"components": [{"d": 1, "s": "2", "r": 0.4}]}'])
-    @example(["cproj", "--data", KS_DATA, "--alpha=1e-5000", "--trajectory=500"])
-    @example(["ak-solve", "1e-5000", "1", "1"])
-    @example(["csc-family", "--m=16", "--rplus=1e-10000000", "--tolerance=1e-1000000000"])
-    @example(["cproj", "--data", KS_DATA, "--alpha=1/3", "--poly=1,1e10000000"])
-    def test_admissible_commands(self, argv):
+    @staticmethod
+    def assert_contract(argv):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -656,25 +729,70 @@ class TestContract:
         elif code == 0:
             assert out.getvalue() and not err.getvalue()
 
+    @given(_contract_argv)
+    @settings(max_examples=200, deadline=None)
+    @example(["csc-family", "--m=3", "--rplus=1/3", "--tolerance=1e-10000"])
+    @example(["csc-family", "--m=16", "--sweep=1/2", "--tolerance=1e-20000", "--csv"])
+    @example(["csc-family", "--m=16", "--rplus=1e-5000"])
+    @example(["extremal-poly", "--data", '{"components": [{"d": 1, "s": "2", "r": 0.4}]}'])
+    @example(["cproj", "--data", KS_DATA, "--alpha=1e-5000", "--trajectory=500"])
+    @example(["ak-solve", "1e-5000", "1", "1"])
+    @example(["csc-family", "--m=16", "--rplus=1e-10000000", "--tolerance=1e-1000000000"])
+    @example(["cproj", "--data", KS_DATA, "--alpha=1/3", "--poly=1,1e10000000"])
+    def test_admissible_commands(self, argv):
+        self.assert_contract(argv)
+
+    @given(st.one_of(_tower_argv(), _other_argv))
+    @settings(max_examples=200, deadline=None)
+    @example(["classes", "p", "--matrix", json.dumps(
+        {"n": 9, "rows": [[(-1) ** (i * j) * 10 ** 60 if j < i else int(i == j)
+                           for j in range(9)] for i in range(9)]})])
+    @example(["cone", "--scan-bases", "--matrix", json.dumps(BottMatrix.identity(13).to_json())])
+    @example(["orbit", "--stage-bound", "5", "--matrix",
+              '{"rows": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,1,1]]}'])
+    @example(["twist1-diffeo", "--k", str(10 ** 60), "0", "--kprime", "1"])
+    @example(["classify3", str(-10 ** 60), "3", str(10 ** 60)])
+    def test_tower_and_symplectic_commands(self, argv):
+        self.assert_contract(argv)
+
 
 class TestConfig:
-    def test_config_file_sets_bounds(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"orbit_stage_bound": 2}', encoding="utf-8")
-        result = run(["--config", str(cfg), "orbit", "--stage3", "0", "0", "0"])
-        assert result.exit_code == 1
-        monkeypatch.setenv("BOTT_CONFIG", str(cfg))
-        result = run(["orbit", "--stage3", "0", "0", "0"])
-        assert result.exit_code == 1
-        monkeypatch.delenv("BOTT_CONFIG")
-        assert run(["orbit", "--stage3", "0", "0", "0"]).exit_code == 0
+    """There is no limits file: `--config` is a parse error, and $BOTT_CONFIG
+    is not read, whatever the file holds.  Each limit is set by its flag or
+    left at its module constant."""
 
-    def test_flag_overrides_config(self, tmp_path):
+    ORBIT = ["orbit", "--stage3", "0", "0", "0"]
+
+    @staticmethod
+    def config_file(tmp_path, text):
         cfg = tmp_path / "limits.json"
-        cfg.write_text('{"orbit_stage_bound": 2}', encoding="utf-8")
-        result = run(["--config", str(cfg), "orbit", "--stage3", "0", "0", "0",
-                      "--stage-bound", "4"])
-        assert result.exit_code == 0
+        cfg.write_text(text, encoding="utf-8")
+        return str(cfg)
+
+    @staticmethod
+    def main_code(argv):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            return main(argv)
+
+    def assert_file_ignored(self, path, monkeypatch):
+        monkeypatch.delenv("BOTT_CONFIG", raising=False)
+        expected = run(self.ORBIT)
+        assert expected.exit_code == 0
+        assert self.main_code(["--config", path, *self.ORBIT]) == 2
+        monkeypatch.setenv("BOTT_CONFIG", path)
+        assert run(self.ORBIT) == expected
+
+    def test_config_file_sets_no_bound(self, tmp_path, monkeypatch):
+        path = self.config_file(tmp_path, '{"orbit_stage_bound": 2}')
+        self.assert_file_ignored(path, monkeypatch)
+        assert self.main_code(["--config", path, *self.ORBIT, "--stage-bound", "4"]) == 2
+
+    def test_flag_overrides_config(self, tmp_path, monkeypatch):
+        # the flag is the one setting of the bound, with the environment set or not
+        monkeypatch.setenv("BOTT_CONFIG", self.config_file(tmp_path, '{"orbit_stage_bound": 2}'))
+        assert run([*self.ORBIT, "--stage-bound", "4"]).exit_code == 0
+        result = run([*self.ORBIT, "--stage-bound", "2"])
+        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
 
     @pytest.mark.parametrize("text", [
         '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
@@ -684,48 +802,53 @@ class TestConfig:
         '{"csc_tolerance": "abc"}', '{"csc_tolerance": "0"}', '{"csc_tolerance": [1]}',
         '[1, 2]', '"limits"', '{"orbit_stage_bound": ', '',
     ])
-    def test_invalid_config_file(self, tmp_path, text):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text(text, encoding="utf-8")
-        self.assert_invalid_config(str(cfg))
+    def test_invalid_config_file(self, tmp_path, monkeypatch, text):
+        self.assert_file_ignored(self.config_file(tmp_path, text), monkeypatch)
 
-    def test_missing_config_file(self, tmp_path):
-        self.assert_invalid_config(str(tmp_path / "missing.json"))
-        self.assert_invalid_config(str(tmp_path))    # a directory
+    def test_missing_config_file(self, tmp_path, monkeypatch):
+        self.assert_file_ignored(str(tmp_path / "missing.json"), monkeypatch)
+        self.assert_file_ignored(str(tmp_path), monkeypatch)    # a directory
 
     def test_invalid_config_from_environment(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"orbit_stage_bound": true}', encoding="utf-8")
-        monkeypatch.setenv("BOTT_CONFIG", str(cfg))
-        result = run(["orbit", "--stage3", "0", "0", "0"])
-        assert result.exit_code == 1
-        assert result.payload["error"] == "invalid_input"
+        monkeypatch.setenv("BOTT_CONFIG", self.config_file(tmp_path, '{"orbit_stage_bound": true}'))
+        assert run(self.ORBIT).exit_code == 0
 
-    def test_huge_tolerance_exponent_refused(self, tmp_path):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"csc_tolerance": "1e-100000000"}', encoding="utf-8")
+    def test_huge_tolerance_exponent_refused(self, tmp_path, monkeypatch):
+        argv = ["csc-family", "--m=2", "--rplus=1/3"]
+        path = self.config_file(tmp_path, '{"csc_tolerance": "1e-100000000"}')
         start = time.perf_counter()
-        result = run(["--config", str(cfg), "csc-family", "--m=2", "--rplus=1/3"])
+        assert self.main_code(["--config", path, *argv]) == 2
+        monkeypatch.setenv("BOTT_CONFIG", path)
+        assert run(argv).payload == run([*argv, "--tolerance=1e-12"]).payload
+        result = run([*argv, "--tolerance=1e-100000000"])
         assert time.perf_counter() - start < 1
         assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
 
-    def test_valid_config_values(self, tmp_path):
-        cfg = tmp_path / "limits.json"
-        cfg.write_text('{"root_stage_bound": 3, "csc_tolerance": "1e-6"}', encoding="utf-8")
-        assert run(["--config", str(cfg), "roots", "--stage3", "0", "1", "-1"]).exit_code == 0
-        result = run(["--config", str(cfg), "roots", "--matrix",
-                      json.dumps({"n": 4, "rows": BottMatrix.identity(4).rows})])
+    def test_valid_config_values(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BOTT_CONFIG", self.config_file(
+            tmp_path, '{"root_stage_bound": 3, "csc_tolerance": "1e-6"}'))
+        identity4 = json.dumps(BottMatrix.identity(4).to_json())
+        assert run(["roots", "--matrix", identity4]).exit_code == 0
+        result = run(["roots", "--matrix", identity4, "--stage-bound", "3"])
         assert result.payload["error"] == "stage_too_large"
 
-    @staticmethod
-    def assert_invalid_config(path):
-        result = run(["--config", path, "orbit", "--stage3", "0", "0", "0"])
-        assert result.exit_code == 1
-        assert result.payload["error"] == "invalid_input"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            assert main(["--config", path, "orbit", "--stage3", "0", "0", "0"]) == 1
-        assert json.loads(err.getvalue())["error"] == "invalid_input"
+    def test_flags_set_each_limit(self):
+        # --stage-bound defaults to core.DEFAULT_STAGE_BOUND, --tolerance to
+        # admissible.DEFAULT_CSC_TOLERANCE; the positivity depth has no setting
+        assert (DEFAULT_STAGE_BOUND, adm.DEFAULT_CSC_TOLERANCE) == (8, Fraction(1, 10 ** 12))
+        nine = json.dumps(BottMatrix.identity(9).to_json())
+        for command in ("orbit", "roots", "reductive"):
+            assert cli.build_parser().parse_args([command]).stage_bound == DEFAULT_STAGE_BOUND
+            result = run([command, "--matrix", nine])
+            assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+        # the identity's orbit lists all n! stage orders, so only the cheap commands run at n = 9
+        for command in ("roots", "reductive"):
+            assert run([command, "--matrix", nine, "--stage-bound", "9"]).exit_code == 0
+        argv = ["csc-family", "--m", "2", "--rplus", "1/3"]
+        default, coarse = run(argv), run([*argv, "--tolerance", "1/10"])
+        assert default.payload == run([*argv, "--tolerance", "1e-12"]).payload
+        assert default.payload["roots"] != coarse.payload["roots"]
+        assert len(default.payload["roots"]) == len(coarse.payload["roots"])
 
 
 class TestParserReuse:

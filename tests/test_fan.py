@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bott import cohomology as coh
 from bott import fan as bfan
-from bott.core import BottMatrix, StageTooLarge, equivalence_orbit
+from bott.core import BottMatrix, StageTooLarge, cotwist, equivalence_orbit, twist
 from conftest import (
     bott_matrices,
     demazure_roots_vertex_oracle,
@@ -402,3 +402,21 @@ class TestKahlerEinstein:
     def test_other_stages_unknown(self):
         assert bfan.kahler_einstein_stage34(BottMatrix.identity(5)) == "Unknown"
         assert bfan.kahler_einstein_stage34(BottMatrix.identity(2)) == "Unknown"
+
+
+class TestOrbitInvariance:
+    @given(bott_matrices(min_stage=1, max_stage=5, max_entry=3))
+    @settings(max_examples=60, deadline=None)
+    @example(lower_triangular(5, [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]))
+    @example(lower_triangular(4, [0, 1, -1, 0, 0, 0]))
+    def test_core_and_fan_answers_constant_on_orbit(self, A):
+        # biholomorphic towers share these answers; csc_obstructed, whose row
+        # test fires on some members of a non-reductive orbit only, stays out
+        def answers(B):
+            return (twist(B), cotwist(B), bfan.is_reductive(B), len(bfan.demazure_roots(B)),
+                    bfan.is_fano(B), bfan.kahler_einstein_stage34(B),
+                    bfan.ample_cone_is_first_orthant(B))
+
+        expected = answers(A)
+        for B in equivalence_orbit(A).representatives:
+            assert answers(B) == expected, B

@@ -62,3 +62,19 @@ def test_products_go_through_one_sweep():
                         callers.setdefault(node.attr, set()).add(f"{path.stem}.{fn.name}")
     assert callers == {"_product": {"cohomology.__mul__", "cohomology._product"},
                        "_times_xs": {"cohomology._product"}}
+
+
+def test_one_setting_per_limit():
+    # each limit is read from its flag or its module constant: there is no
+    # limits file, and no module reads the environment
+    assert not (SOURCES[0].parent / "config.py").exists()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & {"Limits", "load_limits", "_given"}, path.name
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "getenv"}, path.name

@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on a domain error (precondition violated,
 enumeration bound exceeded, degenerate parameters), 2 on a parse error.
 Domain errors print {"error": code, "message": ...} to standard error.
 Rationals are serialized as "p/q" strings and large integer coefficients
-as decimal strings, so no precision is lost in transit.
+as decimal strings, so no precision is lost in transit.  `run` renders a
+result as `bott` prints it: indented JSON (`render_json`) or CSV.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional, Sequence
 
 from . import admissible as adm
@@ -53,6 +55,7 @@ DOMAIN_ERRORS = {
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
 CLASSES_STAGE_BOUND = 14  # `classes c|p` print up to 2^n terms: 0.5 s at n = 14
+CLASSES_ENTRY_BITS = 64   # and coefficients that grow with the entries: 0.5 s at n = 14
 SCAN_BASES_STAGE_BOUND = 12   # `cone --scan-bases` prints 2^(n-1) cones: 0.5 s at n = 12
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
@@ -61,7 +64,57 @@ CSC_HEADER = ("m", "r_plus", "r_minus")
 class CommandResult:
     payload: object
     exit_code: int
-    text: Optional[str] = None   # preformatted output (CSV) when set
+    text: Optional[str] = None   # what `bott` prints on success: indented JSON or CSV
+
+
+def _float_json(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIAL.get(text, text)
+
+
+_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,   # json's C string encoder, as ensure_ascii=True uses
+    int: int.__repr__,
+    float: _float_json,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_json(obj) -> str:
+    """A JSON scalar of any type that json.dumps accepts, as it writes it."""
+    for kind in (type(obj), str, int, float):   # the exact type, then json's isinstance order
+        if kind in _SCALAR_JSON and isinstance(obj, kind):
+            return _SCALAR_JSON[kind](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def render_json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte.
+
+    json.dumps with an indent runs the pure-Python encoder; this one
+    encodes strings with json's C encoder and joins a list of scalars of
+    one type in a single call.
+    """
+    encode = _SCALAR_JSON.get(type(obj))
+    if encode:
+        return encode(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k if isinstance(k, str) else _scalar_json(k))
+                 + ": " + render_json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        encode = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(encode, obj) if encode else [render_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _scalar_json(obj)
 
 
 def _frac(text: str) -> Fraction:
@@ -240,9 +293,14 @@ def _payload_for(args):
 
     if cmd == "classes":
         A = _load_matrix(args)
-        if args.kind != "w2" and A.n > CLASSES_STAGE_BOUND:
-            raise StageTooLarge(f"stage {A.n} exceeds bound {CLASSES_STAGE_BOUND} "
-                                f"for classes {args.kind}")
+        if args.kind != "w2":
+            if A.n > CLASSES_STAGE_BOUND:
+                raise StageTooLarge(f"stage {A.n} exceeds bound {CLASSES_STAGE_BOUND} "
+                                    f"for classes {args.kind}")
+            bits = max(abs(e).bit_length() for row in A.rows for e in row)
+            if bits > CLASSES_ENTRY_BITS:
+                raise StageTooLarge(f"entry of {bits} bits exceeds bound "
+                                    f"{CLASSES_ENTRY_BITS} for classes {args.kind}")
         R = coh.ring(A)
         if args.kind == "c":
             return R.chern_total().to_json(), None
@@ -423,7 +481,7 @@ def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         return CommandResult({"error": "invalid_input", "message": str(exc)}, 1)
     if table is None:
-        return CommandResult(payload, 0)
+        return CommandResult(payload, 0, text=render_json(payload))
     text = _csv(*table)
     return CommandResult(text.splitlines()[1:] if payload is None else payload, 0, text=text)
 
@@ -436,10 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if result.exit_code != 0:
         print(json.dumps(result.payload), file=sys.stderr)
         return result.exit_code
-    if result.text is not None:
-        sys.stdout.write(result.text)
-    else:
-        print(json.dumps(result.payload, indent=2))
+    sys.stdout.write(result.text if result.text.endswith("\n") else result.text + "\n")
     return 0
 
 

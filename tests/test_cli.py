@@ -124,6 +124,23 @@ class TestBasicCommands:
             assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
         assert run(["classes", "w2", "--matrix", past]).exit_code == 0
 
+    def test_classes_entry_bits_bound(self):
+        # the coefficients of c and p grow with the entries; w2 reads them mod 2
+        assert cli.CLASSES_ENTRY_BITS == 64
+        for top in (2 ** 64 - 1, -(2 ** 64 - 1)):
+            A = BottMatrix.stage3(1, top, -top)
+            for kind in "cp":
+                result = run(["classes", kind, "--stage3", "1", str(top), str(-top)])
+                assert result.exit_code == 0
+                assert coh.class_from_json(A, result.payload) == (
+                    coh.ring(A).chern_total() if kind == "c" else coh.ring(A).pontrjagin_total())
+        for past in (2 ** 64, -(2 ** 64)):
+            for kind in "cp":
+                result = run(["classes", kind, "--stage3", "0", "0", str(past)])
+                assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+                assert "65 bits" in result.payload["message"]
+            assert run(["classes", "w2", "--stage3", "0", "0", str(past)]).exit_code == 0
+
     def test_class_payload_round_trip(self):
         A = BottMatrix.stage3(3, -1, 2)
         payload = run(["classes", "c", "--stage3", "3", "-1", "2"]).payload
@@ -561,6 +578,123 @@ class TestErrors:
         assert json.loads(out.getvalue()) == 1
 
 
+# JSON values for the renderer: every scalar json.dumps accepts, at sizes
+# and in spellings its encoder treats apart, and lists of one scalar type,
+# which the renderer joins in one call
+_scalar = st.one_of(st.text(), st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(),
+                    st.floats(), st.sampled_from([float("nan"), float("inf"), -0.0]))
+_key = st.one_of(st.text(), st.integers(-10 ** 40, 10 ** 40), st.floats(),
+                 st.booleans(), st.none())
+_one_type_list = st.one_of(*(st.lists(s) for s in (
+    st.text(), st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(), st.floats())))
+_json_tree = st.recursive(
+    st.one_of(_scalar, _one_type_list, st.lists(st.sampled_from([True, 1, False, 0, 1.0]))),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_key, kids, max_size=4)),
+    max_leaves=30)
+
+
+class TestRendering:
+    """`run` renders each JSON result as json.dumps(payload, indent=2), the
+    text that `main` prints; CSV and error output keep their own form."""
+
+    @given(_json_tree)
+    @settings(max_examples=300, deadline=None)
+    @example({"": [], "a": {}, "b": ()})
+    @example([True, 1, False, 0, None, "1", 1.0])
+    @example({1: "i", 2.5: "f", True: "t", None: "n", float("nan"): "nan", -0.0: "z"})
+    @example(["\u00e9\u4e2d\U0001f600", "\x00\x1f\"\\\n\t\x7f", 10 ** 40, -(10 ** 40)])
+    @example([float("inf"), float("-inf"), float("nan"), -0.0, 1e300, 5e-324])
+    def test_matches_json_dumps(self, value):
+        assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    def test_subclasses_render_as_their_base(self):
+        import enum
+        from typing import NamedTuple
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Name(str):
+            pass
+
+        class Pair(NamedTuple):
+            x: object
+            y: object
+
+        class Table(dict):
+            pass
+
+        value = Table({Name("k"): Pair(Level.HIGH, [Name("v"), Level.HIGH]), Level.HIGH: 2.5})
+        assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, [b"x"], {(1, 2): 3}])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli.render_json(value)
+
+    JSON_COMMANDS = [
+        ["twist", "--stage3", "0", "1", "-1"],
+        ["cotwist", "--stage3", "1", "2", "0"],
+        ["orbit", "--stage3", "1", "2", "3"],
+        ["cohomology", "--stage3", "4", "-7", "9"],
+        ["reductive", "--stage3", "0", "1", "-1"],
+        ["roots", "--stage3", "0", "1", "-1"],
+        ["fano", "--stage3", "0", "1", "1"],
+        ["classes", "c", "--stage3", "3", "-1", "2"],
+        ["classes", "p", "--stage3", "0", "1", "-1"],
+        ["classes", "w2", "--stage3", "0", "1", "-1"],
+        ["classify3", "0", "24", "1"],
+        ["twist1-diffeo", "--k", "1", "2", "3", "--kprime", "-1", "-2", "3"],
+        ["cone", "--stage3", "-1", "2", "-3", "--basis", "uvu"],
+        ["cone", "--stage3", "0", "0", "0", "--scan-bases"],
+        ["symplectic-count", "11", "6", "1", "--enumerate"],
+        ["compat-enumerate", "5", "3", "1"],
+        ["extremal-poly", "--data", KS_DATA],
+        ["csc-family", "--m", "2", "--rplus", "1/3"],
+        ["cproj", "--data", KS_DATA, "--alpha", "1/3"],
+        ["ak-solve", "1", "2", "2"],
+        ["scan", "--radius", "1"],
+    ]
+
+    @staticmethod
+    def printed(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+    def test_json_text_is_printed(self, argv):
+        result = run(argv)
+        assert result.exit_code == 0
+        assert result.text == json.dumps(result.payload, indent=2)
+        assert self.printed(argv) == (0, result.text + "\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["csc-family", "--m", "2", "--rplus", "1/3", "--csv"],
+        ["csc-family", "--m", "1", "--sweep", "1/4"],
+        ["cproj", "--data", KS_DATA, "--alpha", "1/3", "--trajectory", "2"],
+        ["scan", "--radius", "1", "--csv"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_csv_text_is_printed(self, argv):
+        result = run(argv)
+        assert result.exit_code == 0 and result.text.endswith("\n")
+        assert self.printed(argv) == (0, result.text, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--stage3", "1", "2", "3", "--stage-bound", "2"],
+        ["classes", "c", "--stage3", "0", "0", str(2 ** 64)],
+        ["twist", "--matrix", '{"n": 2, "rows": [[1, 0], [1, 2]]}'],
+    ], ids=lambda argv: argv[0])
+    def test_errors_print_one_json_line(self, argv):
+        result = run(argv)
+        assert result.exit_code == 1 and result.text is None
+        assert self.printed(argv) == (1, "", json.dumps(result.payload) + "\n")
+
+
 # argv for the CLI-contract fuzz.  Half of the values are small and mostly
 # valid, so commands run to the end; the rest are tiny or huge rationals, as
 # fractions and with exponents of any size, and text that is no number.
@@ -895,5 +1029,6 @@ class TestParserReuse:
             [1, 0, 0, ("exit", 2), 0, 0, 0, 0, ("exit", 2), 0]
         assert "representatives" in reused[5].payload
         assert "representatives" not in reused[6].payload
-        assert reused[7].text is not None and reused[9].text is None
+        assert reused[7].text.startswith("m,r_plus,r_minus\n")
+        assert reused[9].text == json.dumps(reused[9].payload, indent=2)
         assert reused[2].payload["basis"] == "uvu" and reused[4].payload["basis"] == "uuu"

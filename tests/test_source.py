@@ -78,3 +78,14 @@ def test_one_setting_per_limit():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert not names & {"environ", "getenv"}, path.name
+
+
+def test_no_indented_json_dumps():
+    # json.dumps with an indent runs the pure-Python encoder; `cli.render_json`
+    # prints the same text, and json.dumps(indent=2) is its test oracle
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr in ("dumps", "dump")
+                 and any(kw.arg == "indent" for kw in node.keywords)]
+        assert not calls, f"{path.name}: json.dumps with indent at line(s) {calls}"

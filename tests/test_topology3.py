@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -144,3 +145,21 @@ class TestTwistOneCount:
             values = rng.sample(range(1, 40), n)
             k = [v * rng.choice([1, -1]) for v in values]
             assert t3._sign_class_count(k) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sign_patterns_counted_up_to_permutation_and_sign(self, n):
+        # every sign pattern k of given |k_i| gives a tower diffeomorphic to
+        # that of |k|, and these towers up to permutation and a global sign
+        # are the twist1_class_count(k) inequivalent ones
+        generic = 0
+        for values in itertools.combinations_with_replacement((1, 2, 3), n):
+            patterns = [[s * x for s, x in zip(signs, values)]
+                        for signs in itertools.product((1, -1), repeat=n)]
+            classes = {frozenset(tuple(e * x for x in p)
+                                 for p in itertools.permutations(k) for e in (1, -1))
+                       for k in patterns}
+            for k in patterns:
+                assert twist1_diffeomorphic_scan_oracle(values, k), k
+                assert t3.twist1_class_count(k) == len(classes), k
+            generic += len(set(values)) == n
+        assert generic == (n == 3)

@@ -67,12 +67,14 @@ class CommandResult:
     text: Optional[str] = None   # what `bott` prints on success: indented JSON or CSV
 
 
+_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _float_json(x: float) -> str:
     text = float.__repr__(x)
     return _FLOAT_SPECIAL.get(text, text)
 
 
-_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _SCALAR_JSON = {
     str: encode_basestring_ascii,   # json's C string encoder, as ensure_ascii=True uses
     int: int.__repr__,

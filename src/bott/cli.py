@@ -97,7 +97,8 @@ def render_json(obj, pad: str = "\n") -> str:
 
     json.dumps with an indent runs the pure-Python encoder; this one
     encodes strings with json's C encoder and joins a list of scalars of
-    one type in a single call.
+    one type in a single call.  `pad` is the line break and indentation
+    of the line that closes obj.
     """
     encode = _SCALAR_JSON.get(type(obj))
     if encode:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from bott.admissible import DEFAULT_CSC_TOLERANCE
 from bott.cli import CSC_HEADER, _csv, csc_sweep_rows
+from bott.core import StageTooLarge
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     args = parser.parse_args()
     try:
         rows = csc_sweep_rows(args.m, args.step, args.tolerance, args.second_only)
-    except ValueError as exc:
+    except (ValueError, StageTooLarge) as exc:
         parser.error(str(exc))
     sys.stdout.write(_csv(CSC_HEADER, rows))
 

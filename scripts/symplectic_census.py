@@ -12,6 +12,7 @@ import argparse
 from fractions import Fraction
 
 from bott import symplectic as sp
+from bott.core import StageTooLarge
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
     try:
         n_b0, n_bne0, n_b = sp.count_compatible(k1, k2, k3)
         reps = sp.enumerate_compatible(k1, k2, k3)
-    except ValueError as exc:
+    except (ValueError, StageTooLarge) as exc:
         parser.error(str(exc))
     print(f"weights: ({k1}, {k2}, {k3})")
     print(f"  c == 0 branch: {n_b0}")

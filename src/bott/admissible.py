@@ -437,7 +437,11 @@ def csc_family_sweep(m: int, step, tolerance,
 
 
 def cproj_parameters(data: AdmissibleData, alpha, beta) -> tuple[Fraction, ...]:
-    """(beta r - alpha)/(beta - alpha r) for each r; SingularParameters unless |alpha| < |beta|."""
+    """(beta r - alpha)/(beta - alpha r) for each r; SingularParameters unless |alpha| < |beta|.
+
+    The denominator never vanishes: |alpha r| <= |alpha| < |beta|, since
+    AdmissibleData keeps every |r| < 1.
+    """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if beta * beta <= alpha * alpha:
         raise SingularParameters("need |alpha| < |beta|")
@@ -445,8 +449,6 @@ def cproj_parameters(data: AdmissibleData, alpha, beta) -> tuple[Fraction, ...]:
     new_r = []
     for _, _, r in data.components:
         pole, image = B * r.denominator - A * r.numerator, B * r.numerator - A * r.denominator
-        if pole == 0:
-            raise SingularParameters("parameter pole: beta = alpha * r")
         if image == 0:
             raise SingularParameters("parameter collapses to zero")
         new_r.append(Fraction(image, pole))

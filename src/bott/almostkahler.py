@@ -245,35 +245,17 @@ def check_integrability(data: SquareFiberData, sol: AkSolution) -> bool:
 def verify_boundary(data: SquareFiberData, p11: Poly2, p12: Poly2, p22: Poly2) -> bool:
     """Symbolic check of the twelve boundary identities on the square.
 
-    Each edge forces the matching entries of P to vanish and pins the
-    normal derivative of the diagonal entry to +-2 Q there.
+    Each edge forces the matching diagonal entry of P and P12 to vanish
+    and pins the normal derivative of that diagonal entry to +-2 Q there.
     """
     q = data.q_poly()
-    p11_1 = p11.diff(0)
-    p22_2 = p22.diff(1)
-    checks = [
-        (p11.substitute_x(0), None),
-        (p12.substitute_x(0), None),
-        (p11_1.substitute_x(0), q.substitute_x(0), 2),
-        (p11.substitute_x(1), None),
-        (p12.substitute_x(1), None),
-        (p11_1.substitute_x(1), q.substitute_x(1), -2),
-        (p22.substitute_y(1), None),
-        (p12.substitute_y(1), None),
-        (p22_2.substitute_y(1), q.substitute_y(1), -2),
-        (p22.substitute_y(0), None),
-        (p12.substitute_y(0), None),
-        (p22_2.substitute_y(0), q.substitute_y(0), 2),
-    ]
-    for entry in checks:
-        if entry[1] is None:
-            if entry[0]:
-                return False
-        else:
-            got, q_edge, factor = entry
-            if got != upoly(factor * c for c in q_edge):
-                return False
-    return True
+    d11, d22 = p11.diff(0), p22.diff(1)
+    # (restriction to the edge, its coordinate, diagonal entry, its normal derivative, sign)
+    edges = [(Poly2.substitute_x, 0, p11, d11, 2), (Poly2.substitute_x, 1, p11, d11, -2),
+             (Poly2.substitute_y, 0, p22, d22, 2), (Poly2.substitute_y, 1, p22, d22, -2)]
+    return all(not on_edge(diagonal, z) and not on_edge(p12, z)
+               and on_edge(normal, z) == upoly(sign * c for c in on_edge(q, z))
+               for on_edge, z, diagonal, normal, sign in edges)
 
 
 def boundary_conditions_check(data: SquareFiberData, sol: AkSolution) -> bool:

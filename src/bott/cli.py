@@ -38,13 +38,8 @@ from .core import (
 from .polynomials import poly
 
 
-class ArgumentTooLarge(Exception):
-    """StageTooLarge from an argument's type, which argparse would report as exit 2."""
-
-
 DOMAIN_ERRORS = {
     StageTooLarge: "stage_too_large",
-    ArgumentTooLarge: "stage_too_large",
     adm.PoleHit: "pole_hit",
     adm.DegreeTooHigh: "degree_too_high",
     adm.SingularParameters: "singular_parameters",
@@ -54,9 +49,9 @@ DOMAIN_ERRORS = {
 
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
-CLASSES_STAGE_BOUND = 14  # `classes c|p` print up to 2^n terms: 0.5 s at n = 14
-CLASSES_ENTRY_BITS = 64   # and coefficients that grow with the entries: 0.5 s at n = 14
-SCAN_BASES_STAGE_BOUND = 12   # `cone --scan-bases` prints 2^(n-1) cones: 0.5 s at n = 12
+CLASSES_STAGE_BOUND = 15  # `classes c|p` print up to 2^n terms: 1 s at n = 15
+CLASSES_ENTRY_BITS = 64   # and coefficients that grow with the entries: 1 s at n = 15
+SCAN_BASES_STAGE_BOUND = 13   # `cone --scan-bases` prints 2^(n-1) cones: 0.8 s at n = 13
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -67,29 +62,12 @@ class CommandResult:
     text: Optional[str] = None   # what `bott` prints on success: indented JSON or CSV
 
 
-_FLOAT_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_json(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_SPECIAL.get(text, text)
-
-
 _SCALAR_JSON = {
     str: encode_basestring_ascii,   # json's C string encoder, as ensure_ascii=True uses
     int: int.__repr__,
-    float: _float_json,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-
-
-def _scalar_json(obj) -> str:
-    """A JSON scalar of any type that json.dumps accepts, as it writes it."""
-    for kind in (type(obj), str, int, float):   # the exact type, then json's isinstance order
-        if kind in _SCALAR_JSON and isinstance(obj, kind):
-            return _SCALAR_JSON[kind](obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(obj, pad: str = "\n") -> str:
@@ -97,8 +75,10 @@ def render_json(obj, pad: str = "\n") -> str:
 
     json.dumps with an indent runs the pure-Python encoder; this one
     encodes strings with json's C encoder and joins a list of scalars of
-    one type in a single call.  `pad` is the line break and indentation
-    of the line that closes obj.
+    one type in a single call.  Any other scalar (a float, a subclass) and
+    a non-str dict key are written by json itself, which raises TypeError
+    for what it cannot write.  `pad` is the line break and indentation of
+    the line that closes obj.
     """
     encode = _SCALAR_JSON.get(type(obj))
     if encode:
@@ -107,7 +87,8 @@ def render_json(obj, pad: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(k if isinstance(k, str) else _scalar_json(k))
+        items = [(encode_basestring_ascii(k) if isinstance(k, str)
+                  else json.dumps({k: 0})[1:-4])   # json's own form of the key
                  + ": " + render_json(v, inner) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -117,14 +98,12 @@ def render_json(obj, pad: str = "\n") -> str:
         encode = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(encode, obj) if encode else [render_json(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return _scalar_json(obj)
+    return json.dumps(obj)
 
 
 def _frac(text: str) -> Fraction:
     try:
         return adm.parse_rational(text)
-    except StageTooLarge as exc:
-        raise ArgumentTooLarge(exc) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

@@ -46,8 +46,12 @@ DEFAULT_STAGE_BOUND = 8
 Rows = tuple[tuple[int, ...], ...]
 
 
-class StageTooLarge(ValueError):
-    """Raised when an enumeration is requested above its bound."""
+class StageTooLarge(Exception):
+    """A well-formed input refused because answering it costs too much.
+
+    Not a ValueError: argparse turns a ValueError from a type function
+    into a parse error, and a refusal is not one.
+    """
 
 
 @dataclass(frozen=True, order=True)
@@ -291,29 +295,12 @@ def apply_signed_permutation(A: BottMatrix, sigma: Sequence[int],
     return BottMatrix(tuple(tuple(W[sl][sj] for sl in sigma) for sj in sigma))
 
 
-def _fiber_inversion_rows(rows: Rows, k: int) -> Rows:
-    """Closed form of the pure flip of stage k: row k negated, later rows
-    reduced by their column-k entry times row k."""
-    pivot = rows[k]
-    out = list(rows)
-    out[k] = tuple(-e for e in pivot[:k]) + pivot[k:]
-    for i in range(k + 1, len(rows)):
-        row = rows[i]
-        if row[k]:
-            out[i] = tuple(e - row[k] * p for e, p in zip(row[:k], pivot)) + row[k:]
-    return tuple(out)
-
-
-def _permuted(rows: Rows, sigma: Sequence[int]) -> Rows:
-    """Rows of P^(-1) A P: entry (j, l) is A[sigma[j]][sigma[l]]."""
-    return tuple(tuple(map(rows[a].__getitem__, sigma)) for a in sigma)
-
-
 def fiber_inversion(A: BottMatrix, k: int) -> BottMatrix:
-    """Invert the CP^1 fiber of stage k (always applicable)."""
+    """Invert the CP^1 fiber of stage k: the pair (identity, flip of k),
+    which always applies."""
     if not 0 <= k < A.n:
         raise ValueError("stage index out of range")
-    return BottMatrix(_fiber_inversion_rows(A.rows, k))
+    return apply_signed_permutation(A, range(A.n), [j == k for j in range(A.n)])
 
 
 def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -336,16 +323,14 @@ def _inversions(sigma: Sequence[int]) -> int:
 
 
 def permutation_conjugate(A: BottMatrix, sigma: Sequence[int]) -> Optional[BottMatrix]:
-    """P^(-1) A P when lower triangular, else None.
+    """P^(-1) A P when lower triangular, else None: the pair (sigma, no flips).
 
     Entry (j, l) of P^(-1) A P is A[sigma[j]][sigma[l]], so the result is
     lower triangular iff A vanishes at every pair that sigma inverts.
     """
     if sorted(sigma) != list(range(A.n)):
         raise ValueError("not a permutation of range(n)")
-    if _support(A.rows) & _inversions(sigma):
-        return None
-    return BottMatrix(_permuted(A.rows, sigma))
+    return apply_signed_permutation(A, sigma, (0,) * A.n)
 
 
 def _check_stage_bound(n: int, stage_bound: int) -> None:
@@ -423,11 +408,12 @@ def are_equivalent(A: BottMatrix, B: BottMatrix,
 def normalize_twist(A: BottMatrix) -> BottMatrix:
     """Equivalent tower whose trivial stages come first.
 
-    Conjugates by the stable partition that lists the stages with a zero
-    row of A - I first.  Each block keeps its order, and a zero row
-    moved up meets only zeros, so the result is lower triangular.  The
-    result has its first n - twist(A) rows trivial.
+    Conjugates (the pair with no flips) by the stable partition that
+    lists the stages with a zero row of A - I first.  Each block keeps
+    its order, and a zero row moved up meets only zeros, so the result
+    is lower triangular.  The result has its first n - twist(A) rows
+    trivial.
     """
     trivial = [not any(A.rows[i][:i]) for i in range(A.n)]
     order = [i for i in range(A.n) if trivial[i]] + [i for i in range(A.n) if not trivial[i]]
-    return BottMatrix(_permuted(A.rows, order))
+    return apply_signed_permutation(A, order, (0,) * A.n)

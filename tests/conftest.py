@@ -5,7 +5,7 @@ functions are evaluated by scanning all maximal cones, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, orbit edges are applied afresh from every
-member, cohomology products rewrite exponent vectors with x_k^2 ->
+member, fiber inversions are checked against their closed form, cohomology products rewrite exponent vectors with x_k^2 ->
 -alpha_k x_k, the square-fiber linear system is re-derived from the extremal
 equation itself, integrability is sampled on a grid of rational points,
 positivity is certified on Fraction boxes with Fraction interval bounds
@@ -377,6 +377,17 @@ def full_scan_orbit(A: BottMatrix, apply=apply_signed_permutation) -> set[BottMa
     """
     images = (apply(A, sigma, flips) for sigma, flips in signed_permutations(A.n))
     return {B for B in images if B is not None}
+
+
+def fiber_inversion_oracle(A: BottMatrix, k: int) -> BottMatrix:
+    """Closed form of inverting the fiber of stage k: row k negated, and
+    each later row reduced by its column-k entry times row k."""
+    pivot = A.rows[k]
+    rows = [list(row) for row in A.rows]
+    rows[k][:k] = [-e for e in pivot[:k]]
+    for i in range(k + 1, A.n):
+        rows[i][:k] = [e - A.rows[i][k] * p for e, p in zip(A.rows[i][:k], pivot)]
+    return BottMatrix.from_rows(rows)
 
 
 def normalize_twist_oracle(A: BottMatrix) -> BottMatrix:

@@ -171,6 +171,9 @@ class TestPositivity:
         # (1 - z^2) z^2 vanishes inside the interval
         assert not adm.is_positive_on_interval(pmul(poly([1, 0, -1]), poly([0, 0, 1])))
 
+    def test_zero_polynomial_not_positive(self):
+        assert not adm.is_positive_on_interval(())
+
     def test_requires_endpoint_zeros(self):
         with pytest.raises(ValueError):
             adm.is_positive_on_interval(poly([1]))
@@ -363,6 +366,14 @@ def admissible_data(draw, max_components=3, max_d=3):
 
 
 class TestCProjective:
+    def test_with_r_needs_one_parameter_per_component(self):
+        data = adm.ks_data(Fraction(2, 5))
+        assert data.with_r((Fraction(1, 3), Fraction(-1, 4))).r_list() == (Fraction(1, 3),
+                                                                         Fraction(-1, 4))
+        for new_r in ((Fraction(1, 3),), (Fraction(1, 3),) * 3):
+            with pytest.raises(ValueError):
+                data.with_r(new_r)
+
     def test_identity(self):
         data = adm.ks_data(Fraction(2, 5))
         F = adm.extremal_polynomial(data).F

@@ -349,3 +349,18 @@ class TestBoundary:
         z1 = Poly2.var(0)
         bad_p11 = z1 * (1 - z1)     # drops the 2Q factor
         assert not ak.verify_boundary(data, bad_p11, p12, p22)
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_entry_not_vanishing_on_an_edge_fails(self, entry):
+        # P11 on z1 = 0, 1, P12 on every edge, P22 on z2 = 0, 1
+        data = ak.SquareFiberData.make(1, 2, 2)
+        parts = list(ak.assemble_p(data, ak.solve_ak(data)))
+        assert ak.verify_boundary(data, *parts)
+        parts[entry] = parts[entry] + Poly2.constant(1)
+        assert not ak.verify_boundary(data, *parts)
+
+    def test_wrong_normal_derivative_of_p22_fails(self):
+        data = ak.SquareFiberData.make(1, 2, 2)
+        p11, p12, _ = ak.assemble_p(data, ak.solve_ak(data))
+        z2 = Poly2.var(1)
+        assert not ak.verify_boundary(data, p11, p12, z2 * (1 - z2))

@@ -112,13 +112,13 @@ class TestBasicCommands:
 
     def test_classes_stage_bound(self):
         # c and p have up to 2^n terms; w2 is linear in n and unbounded
-        assert cli.CLASSES_STAGE_BOUND == 14
-        top = json.dumps(BottMatrix.identity(14).to_json())
+        assert cli.CLASSES_STAGE_BOUND == 15
+        top = json.dumps(BottMatrix.identity(15).to_json())
         c = run(["classes", "c", "--matrix", top])
-        assert c.exit_code == 0 and len(c.payload["terms"]) == 2 ** 14
+        assert c.exit_code == 0 and len(c.payload["terms"]) == 2 ** 15
         assert run(["classes", "p", "--matrix", top]).payload["terms"] == [
             {"monomial": [], "coeff": "1"}]
-        past = json.dumps(BottMatrix.identity(15).to_json())
+        past = json.dumps(BottMatrix.identity(16).to_json())
         for kind in "cp":
             result = run(["classes", kind, "--matrix", past])
             assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
@@ -547,11 +547,11 @@ class TestErrors:
 
     def test_scan_bases_stage_bound(self):
         # --scan-bases lists 2^(n-1) bases; plain `cone` is O(n^2) and unbounded
-        assert cli.SCAN_BASES_STAGE_BOUND == 12
-        largest = json.dumps(BottMatrix.identity(12).to_json())
-        refused = json.dumps(BottMatrix.identity(13).to_json())
+        assert cli.SCAN_BASES_STAGE_BOUND == 13
+        largest = json.dumps(BottMatrix.identity(13).to_json())
+        refused = json.dumps(BottMatrix.identity(14).to_json())
         result = run(["cone", "--matrix", largest, "--scan-bases"])
-        assert result.exit_code == 0 and len(result.payload) == 2 ** 11
+        assert result.exit_code == 0 and len(result.payload) == 2 ** 12
         result = run(["cone", "--matrix", refused, "--scan-bases"])
         assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
         err = io.StringIO()
@@ -881,7 +881,7 @@ class TestContract:
     @example(["classes", "p", "--matrix", json.dumps(
         {"n": 9, "rows": [[(-1) ** (i * j) * 10 ** 60 if j < i else int(i == j)
                            for j in range(9)] for i in range(9)]})])
-    @example(["cone", "--scan-bases", "--matrix", json.dumps(BottMatrix.identity(13).to_json())])
+    @example(["cone", "--scan-bases", "--matrix", json.dumps(BottMatrix.identity(14).to_json())])
     @example(["orbit", "--stage-bound", "5", "--matrix",
               '{"rows": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,1,1]]}'])
     @example(["twist1-diffeo", "--k", str(10 ** 60), "0", "--kprime", "1"])

@@ -21,6 +21,7 @@ from bott.core import (
 from conftest import (
     apply_signed_permutation_generic,
     bott_matrices,
+    fiber_inversion_oracle,
     full_scan_orbit,
     lower_triangular,
     normalize_twist_oracle,
@@ -77,6 +78,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             BottMatrix.from_json(obj)
 
+    @pytest.mark.parametrize("rows", [((1, 0), (0,)), ((1,), (0, 1)),
+                                      ((1, 0, 0), (0, 1), (0, 0, 1))])
+    def test_rejects_non_square(self, rows):
+        with pytest.raises(ValueError, match="square"):
+            BottMatrix(rows)
+
+    def test_twist_two_lengths(self):
+        assert BottMatrix.twist_two([2], [1, 3]).rows == ((1, 0, 0), (2, 1, 0), (1, 3, 1))
+        for l, k in (([1], [1]), ([], [1, 2]), ([1, 2], [1, 2])):
+            with pytest.raises(ValueError):
+                BottMatrix.twist_two(l, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stage3_params_needs_stage_3(self, n):
+        with pytest.raises(ValueError):
+            BottMatrix.identity(n).stage3_params()
+
     def test_json_round_trip(self):
         A = M3(4, -5, 6)
         assert BottMatrix.from_json(A.to_json()) == A
@@ -99,10 +117,14 @@ class TestFiberInversion:
     @given(bott_matrices(max_stage=5))
     @settings(max_examples=60, deadline=None)
     def test_matches_pure_flip(self, A):
-        identity = tuple(range(A.n))
+        # fiber_inversion is the pure flip of stage k; its closed form is the oracle
         for k in range(A.n):
-            flips = tuple(int(j == k) for j in range(A.n))
-            assert fiber_inversion(A, k) == apply_signed_permutation(A, identity, flips)
+            assert fiber_inversion(A, k) == fiber_inversion_oracle(A, k)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_stage_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            fiber_inversion(M3(1, 2, 3), k)
 
     @given(bott_matrices(max_stage=4))
     @settings(max_examples=60, deadline=None)
@@ -137,7 +159,12 @@ class TestPermutationConjugation:
         unflipped = (0,) * A.n
         for sigma in itertools.permutations(range(A.n)):
             assert permutation_conjugate(A, sigma) == \
-                apply_signed_permutation(A, sigma, unflipped)
+                apply_signed_permutation_generic(A, sigma, unflipped)
+
+    @pytest.mark.parametrize("sigma", [(0, 0, 1), (0, 1), (1, 2, 3), (0, 1, 2, 3)])
+    def test_rejects_non_permutation(self, sigma):
+        with pytest.raises(ValueError):
+            permutation_conjugate(M3(0, 0, 0), sigma)
 
     def test_stage4_transposition_2_4(self):
         ok = BottMatrix.from_rows([[1, 0, 0, 0], [5, 1, 0, 0], [6, 0, 1, 0], [7, 0, 0, 1]])

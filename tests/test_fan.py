@@ -59,6 +59,14 @@ class TestSupportEvaluation:
         vec = w[:A.n]
         assert bfan.eval_support(A, psi, vec) == support_eval_oracle(A, psi, vec)
 
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            bfan.SupportFunction.from_values([1, 2], [3])
+        with pytest.raises(ValueError):
+            bfan.cone_coordinates(M3(1, 2, 3), (1, 2))
+        with pytest.raises(ValueError):
+            bfan.cone_coordinates(M3(1, 2, 3), (1, 2, 3, 4))
+
     def test_positive_homogeneity(self):
         A = M3(2, -1, 3)
         psi = bfan.SupportFunction.from_values([1, 2, 3], [4, 5, 6])

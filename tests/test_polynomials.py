@@ -70,6 +70,17 @@ class TestRingOps:
         with pytest.raises(ValueError):
             pdiv_exact(poly([1, 1]), poly([0, 1]))
 
+    def test_integer_exact_quotient(self):
+        assert polynomials.exact_quotient((-1, 0, 1), (1, 1)) == (-1, 1)
+        with pytest.raises(ArithmeticError):
+            polynomials.exact_quotient((1, 1), (0, 2))   # a leading coefficient left over
+        with pytest.raises(ArithmeticError):
+            polynomials.exact_quotient((1, 1), (0, 1))   # a nonzero remainder
+
+    def test_integer_product_with_zero(self):
+        assert imul((), (1, 2)) == imul((3,), ()) == ()
+        assert imul((1, 1), (-1, 1)) == (-1, 0, 1)
+
     @given(polys, small_fracs, small_fracs)
     def test_definite_integral_additivity(self, p, a, b):
         mid = (a + b) / 2
@@ -78,6 +89,12 @@ class TestRingOps:
 
 
 class TestRoots:
+    def test_zero_polynomial_refused(self):
+        with pytest.raises(ValueError):
+            count_roots_open((), 0, 1)
+        with pytest.raises(ValueError):
+            roots_in_interval((), 0, 1, Fraction(1, 100))
+
     def test_known_roots_found(self):
         roots = [Fraction(-2), Fraction(1, 3), Fraction(1)]
         p = poly([1])

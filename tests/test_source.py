@@ -89,3 +89,38 @@ def test_no_indented_json_dumps():
                  and isinstance(node.func, ast.Attribute) and node.func.attr in ("dumps", "dump")
                  and any(kw.arg == "indent" for kw in node.keywords)]
         assert not calls, f"{path.name}: json.dumps with indent at line(s) {calls}"
+
+
+# second implementations that were deleted: the closed forms of the moves,
+# the argparse-only refusal class and the hand-written float encoder
+DELETED = {"_fiber_inversion_rows", "_permuted", "ArgumentTooLarge", "_scalar_json",
+           "_float_json", "_FLOAT_SPECIAL"}
+
+
+def test_one_implementation_per_job():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not defined & DELETED, f"{path.name}: {sorted(defined & DELETED)}"
+
+
+def test_moves_are_signed_permutations():
+    # every generator move is one pair (sigma, flips) of apply_signed_permutation
+    core = next(path for path in SOURCES if path.name == "core.py")
+    tree = ast.parse(core.read_text(encoding="utf-8"), filename=str(core))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("fiber_inversion", "permutation_conjugate", "normalize_twist"):
+        called = {node.func.id for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "apply_signed_permutation" in called, name
+
+
+def test_refusal_is_not_a_value_error():
+    # argparse turns a ValueError from a type function into exit 2, and a
+    # refusal must answer stage_too_large with exit 1
+    from bott.core import StageTooLarge
+
+    assert not issubclass(StageTooLarge, ValueError)

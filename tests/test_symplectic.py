@@ -69,6 +69,10 @@ class TestCompatibility:
         assert sp.stage3_compatible_class(0, 4, 0, 5, 2, 1)
         assert sp.stage3_compatible_class(4, 0, 0, 5, 2, 1)
 
+    def test_class_level_incompatible(self):
+        # M_3(10, 0, 0): every presentation needs more than k1 = 1 allows
+        assert not sp.stage3_compatible_class(5, 0, 0, 1, 1, 1)
+
     def test_class_level_across_orbit(self):
         for params in [(1, 2, 0), (0, 3, 0), (1, 1, 1)]:
             doubled = BottMatrix.stage3(*(2 * x for x in params))
@@ -138,6 +142,11 @@ class TestProductClass:
     def test_nontrivial_pontrjagin_rejected(self):
         assert not sp.product_class_is_kahler(BottMatrix.stage3(-2, 0, -2), (9, 2, 1))
 
+    @pytest.mark.parametrize("k", [(5, 2), (5, 2, 1, 1), (5, 0, 1), (5, 2, -1)])
+    def test_requires_one_positive_weight_per_stage(self, k):
+        with pytest.raises(ValueError):
+            sp.product_class_is_kahler(BottMatrix.stage3(-2, 0, 0), k)
+
     def test_requires_even_nonpositive(self):
         with pytest.raises(ValueError):
             sp.product_class_is_kahler(BottMatrix.stage3(-1, 0, 0), (5, 2, 1))
@@ -150,6 +159,11 @@ class TestTwistOneCompatibility:
         assert sp.twist1_compatible((-1, -1), (2, 2, 1))
         assert not sp.twist1_compatible((-3, 1), (2, 1, 1))
         assert sp.twist1_compatible((-2, -5, -1), (100, 100, 100, 1))
+
+    @pytest.mark.parametrize("r", [(2, 2), (2, 2, 1, 1), (2, 0, 1), (2, 2, -1)])
+    def test_requires_positive_coefficient_per_stage(self, r):
+        with pytest.raises(ValueError):
+            sp.twist1_compatible((-1, -1), r)
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ from .polynomials import (
     ints_over,
     lagrange_interpolate,  # unused; benchmark/tracer.py wraps it by this name
     over,
-    pderiv,
     peval,
     poly,
     roots_in_interval,
@@ -55,10 +54,6 @@ MAX_CSC_M = 16            # m of the CSC obstruction, a polynomial of degree 2m
 MAX_SWEEP_POINTS = 1000   # the ceil(1/step) - 1 solves of a CSC sweep
 MAX_RATIONAL_BITS = 12    # bit length of each numerator and denominator of r_plus, s_a, r_a
 MAX_TOLERANCE_BITS = 256  # bit length of the numerator and denominator of a CSC tolerance
-
-
-class PoleHit(ZeroDivisionError):
-    """Scalar curvature evaluated at a pole of the profile."""
 
 
 class DegreeTooHigh(ValueError):
@@ -117,10 +112,6 @@ class AdmissibleData:
         """Complex dimension of the total space."""
         return 1 + sum(d for d, _, _ in self.components)
 
-    def p_c(self) -> Poly:
-        P, Q, _, _ = _profile_parts(self)
-        return over(P, Q)
-
     def r_list(self) -> tuple[Fraction, ...]:
         return tuple(r for _, _, r in self.components)
 
@@ -173,12 +164,6 @@ def _profile_parts(data: AdmissibleData) -> tuple[IntPoly, int, IntPoly, int]:
     return P, Q, S, T
 
 
-def _curvature_source(data: AdmissibleData) -> Poly:
-    """p_c(z) * sum_a 2 d_a s_a r_a / (1 + r_a z), a polynomial."""
-    _, Q, S, T = _profile_parts(data)
-    return over(S, Q * T)
-
-
 def _ends(f: IntPoly) -> tuple[int, ...]:
     """f(1), f(-1), f'(1) and f'(-1)."""
     df = tuple(i * c for i, c in enumerate(f))[1:]
@@ -209,18 +194,6 @@ def extremal_polynomial(data: AdmissibleData) -> ExtremalProfile:
     (k1, k3, kc1, kc0), D = solve_fraction_free(rows, rhs)
     F = ilin((D, g2), (-k1, t1), (-k3, t0), (den * kc0, (1,)), (den * kc1, (0, 1)))
     return ExtremalProfile(over(F, den * D), Fraction(k1, D), Fraction(k3, D))
-
-
-def scalar_profile(profile: ExtremalProfile, data: AdmissibleData, z) -> Fraction:
-    """Scalar curvature of the profile at momentum z (exact)."""
-    z = Fraction(z)
-    pc_val = peval(data.p_c(), z)
-    if pc_val == 0:
-        raise PoleHit(f"profile has a pole at z = {z}")
-    total = Fraction(0)
-    for d, s, r in data.components:
-        total += Fraction(2 * d) * s * r / (1 + r * z)
-    return total - peval(pderiv(pderiv(profile.F)), z) / pc_val
 
 
 def is_positive_on_interval(F: Poly) -> bool:

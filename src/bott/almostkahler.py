@@ -256,7 +256,3 @@ def verify_boundary(data: SquareFiberData, p11: Poly2, p12: Poly2, p22: Poly2) -
     return all(not on_edge(diagonal, z) and not on_edge(p12, z)
                and on_edge(normal, z) == upoly(sign * c for c in on_edge(q, z))
                for on_edge, z, diagonal, normal, sign in edges)
-
-
-def boundary_conditions_check(data: SquareFiberData, sol: AkSolution) -> bool:
-    return verify_boundary(data, *assemble_p(data, sol))

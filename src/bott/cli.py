@@ -40,7 +40,6 @@ from .polynomials import poly
 
 DOMAIN_ERRORS = {
     StageTooLarge: "stage_too_large",
-    adm.PoleHit: "pole_hit",
     adm.DegreeTooHigh: "degree_too_high",
     adm.SingularParameters: "singular_parameters",
     adm.SingularSystem: "singular_system",
@@ -109,11 +108,18 @@ def _frac(text: str) -> Fraction:
 
 
 def _json_arg(raw: str):
-    """Inline JSON (text starting with "{") or the path of a file holding it."""
+    """Inline JSON (text starting with "{") or the path of a file holding it.
+
+    json's decoder recurses once per nesting level, so deeply nested text
+    raises RecursionError; it is bad input like any other.
+    """
     if not raw.strip().startswith("{"):
         with open(raw, encoding="utf-8") as fh:
             raw = fh.read()
-    return json.loads(raw)
+    try:
+        return json.loads(raw)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def _load_matrix(args) -> BottMatrix:

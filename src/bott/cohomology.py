@@ -70,10 +70,6 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_homogeneous(self) -> bool:
-        degrees = {bin(m).count("1") for m in self._coeffs}
-        return len(degrees) <= 1
-
     def graded_part(self, degree: int) -> "CohomologyClass":
         return CohomologyClass(self.ring, {m: c for m, c in self._coeffs.items()
                                            if bin(m).count("1") == degree})
@@ -200,14 +196,8 @@ class CohomologyRing:
         """Class dual to the zero section: y_k = x_k + alpha_k."""
         return self.x(k) + self.alpha(k)
 
-    def from_terms(self, terms: Mapping[int, int]) -> CohomologyClass:
-        return CohomologyClass(self, terms)
-
     def monomial(self, indices: Iterable[int]) -> CohomologyClass:
         return CohomologyClass(self, {_mask(indices): 1})
-
-    def basis_masks(self) -> list[int]:
-        return list(range(1 << self.n))
 
     # -- multiplication ------------------------------------------------------
 
@@ -366,12 +356,3 @@ def ring(A: BottMatrix) -> CohomologyRing:
 
 def topological_twist(A: BottMatrix) -> int:
     return ring(A).topological_twist()
-
-
-def class_from_json(A: BottMatrix, obj: dict) -> CohomologyClass:
-    R = ring(A)
-    coeffs: dict[int, int] = {}
-    for term in obj["terms"]:
-        mask = _mask(int(i) - 1 for i in term["monomial"])
-        coeffs[mask] = coeffs.get(mask, 0) + int(term["coeff"])
-    return R.from_terms(coeffs)

@@ -127,13 +127,6 @@ class BottMatrix:
             raise ValueError("stage-3 tower required")
         return self.rows[1][0], self.rows[2][0], self.rows[2][1]
 
-    def is_identity(self) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(self.n) for j in range(i))
-
-    def leading_submatrix(self, m: int) -> "BottMatrix":
-        """Principal m x m block: the tower of the first m stages."""
-        return BottMatrix(tuple(row[:m] for row in self.rows[:m]))
-
     def inverse(self) -> "BottMatrix":
         """Exact integer inverse (forward substitution on the unitriangle)."""
         n = self.n

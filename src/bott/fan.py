@@ -1,4 +1,4 @@
-"""Fans of Bott towers: support functions, ample cones, Demazure roots.
+"""Fans of Bott towers: primitive relations, ample cones, Demazure roots.
 
 The fan of a height-n tower is the cone over an n-cross: rays come in
 opposite pairs u_j, v_j where v_1..v_n is the standard lattice basis and
@@ -11,37 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .core import DEFAULT_STAGE_BOUND, BottMatrix, _check_stage_bound, canonical_form
-
-
-@dataclass(frozen=True)
-class SupportFunction:
-    """Ray values of an invariant R-divisor: s on the u-rays, t on the v-rays."""
-
-    s: tuple[Fraction, ...]
-    t: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.s) != len(self.t):
-            raise ValueError("s and t must have equal length")
-
-    @classmethod
-    def from_values(cls, s: Sequence, t: Sequence) -> "SupportFunction":
-        return cls(tuple(Fraction(v) for v in s), tuple(Fraction(v) for v in t))
-
-    def at(self, kind: str, j: int) -> Fraction:
-        """The value on the ray u_j (kind "u") or v_j (kind "v")."""
-        return self.s[j] if kind == "u" else self.t[j]
-
-
-def rays(A: BottMatrix) -> list[tuple[str, int, tuple[int, ...]]]:
-    """(kind, j, vector) for u_1..u_n and then v_1..v_n, in v-coordinates."""
-    n = A.n
-    return ([("u", j, tuple(-A.rows[i][j] for i in range(n))) for j in range(n)]
-            + [("v", j, tuple(int(i == j) for i in range(n))) for j in range(n)])
 
 
 def cone_coordinates(A: BottMatrix, w: Sequence) -> list[tuple[str, int, Any]]:
@@ -50,8 +22,8 @@ def cone_coordinates(A: BottMatrix, w: Sequence) -> list[tuple[str, int, Any]]:
     Forward substitution: the residual j-th coordinate decides between
     v_j (positive) and u_j (negative); picking u_j feeds A's column j back
     into the later coordinates.  A vanishing residual makes the choice
-    immaterial, so the evaluation is wall-consistent.  The coefficients
-    keep the number type of w: integers in give integers out.
+    immaterial: w then lies on the wall the two cones share.  The
+    coefficients keep the number type of w: integers in give integers out.
     """
     n = A.n
     res = list(w)
@@ -69,11 +41,6 @@ def cone_coordinates(A: BottMatrix, w: Sequence) -> list[tuple[str, int, Any]]:
     return out
 
 
-def eval_support(A: BottMatrix, psi: SupportFunction, w: Sequence) -> Fraction:
-    return sum((c * psi.at(kind, j) for kind, j, c in
-                cone_coordinates(A, [Fraction(x) for x in w])), Fraction(0))
-
-
 def primitive_relations(A: BottMatrix) -> list[list[tuple[str, int, int]]]:
     """The primitive relations u_j + v_j = sum c rho, one term list per j.
 
@@ -85,21 +52,6 @@ def primitive_relations(A: BottMatrix) -> list[list[tuple[str, int, int]]]:
     n = A.n
     return [cone_coordinates(A, [-A.rows[i][j] if i > j else 0 for i in range(n)])
             for j in range(n)]
-
-
-def is_ample(A: BottMatrix, psi: SupportFunction, strict: bool = True) -> bool:
-    """Ampleness (nef when strict=False) of the divisor class of psi.
-
-    The class is ample iff psi(u_j) + psi(v_j) > psi(u_j + v_j) for every
-    opposite pair; these are the convexity inequalities on the primitive
-    collections, and they only depend on the divisor class.
-    """
-    for j, relation in enumerate(primitive_relations(A)):
-        lhs = psi.s[j] + psi.t[j]
-        rhs = sum(c * psi.at(kind, m) for kind, m, c in relation)
-        if not (lhs > rhs if strict else lhs >= rhs):
-            return False
-    return True
 
 
 def is_fano(A: BottMatrix) -> bool:

@@ -24,8 +24,8 @@ and lagrange_interpolate is a Vandermonde solve through it.
 
 Poly2 is a thin bivariate companion, also integers over one denominator,
 with just the operations the square-fiber solver needs: ring arithmetic,
-partial derivatives, evaluation and substitution.  Its positivity on the
-unit square is certified in the Bernstein basis (almostkahler).
+partial derivatives and substitution.  Its positivity on the unit square
+is certified in the Bernstein basis (almostkahler).
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def peval(p: Poly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def pderiv(p: Poly) -> Poly:
-    return poly(i * c for i, c in enumerate(p) if i)
 
 
 # -- real roots on integer polynomials (constant term first; scaling by a
@@ -448,12 +444,6 @@ class Poly2:
         di, dj = (1, 0) if which == 0 else (0, 1)
         return Poly2._of({(i - di, j - dj): (i, j)[which] * c
                           for (i, j), c in self.num.items() if (i, j)[which]}, self.den)
-
-    def eval(self, x, y) -> Fraction:
-        y = Fraction(y)
-        num, den = self._substitute(x, 0)
-        return Fraction(homogeneous_value(num, y.numerator, y.denominator),
-                        den * y.denominator ** max(len(num) - 1, 0))
 
     def _substitute(self, value, which: int) -> tuple[list[int], int]:
         """(ints, den): the polynomial in the other variable at z_(which+1) = value."""

@@ -1,7 +1,8 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: support
-functions are evaluated by scanning all maximal cones, Demazure roots
+functions are evaluated by scanning all maximal cones, ampleness is
+decided by convexity on the primitive collections, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, orbit edges are applied afresh from every
@@ -12,7 +13,8 @@ positivity is certified on Fraction boxes with Fraction interval bounds
 and on integer boxes with monomial bounds, the extremal profile, its
 c-projective image and the CSC expansion are computed with Fraction
 polynomials (their ring operations, padd to definite_integral, live
-here: the library computes in integers), Poly2 is checked against a dict of Fractions, linear
+here: the library computes in integers), the scalar curvature of a
+profile is summed from its definition, Poly2 is checked against a dict of Fractions, linear
 systems and determinants are eliminated over Fractions, real roots are isolated with Sturm chains over Fraction coefficients
 (Euclidean gcd, rebuilt on every call) and, where that is too slow, with
 an integer Sturm chain instead of the library's Descartes' rule of
@@ -25,12 +27,14 @@ trying every permutation.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
 from bott import almostkahler as ak
+from bott import cohomology as coh
 from bott import polynomials as ipoly
 
 from bott.core import (
@@ -44,14 +48,13 @@ from bott.core import (
     permutation_conjugate,
     transposition,
 )
-from bott.fan import SupportFunction, rays
+from bott.fan import cone_coordinates, primitive_relations
 from bott.polynomials import (
     IntPoly,
     Poly,
     SingularSystem,
     degree,
     lagrange_interpolate,
-    pderiv,
     peval,
     poly,
 )
@@ -80,6 +83,57 @@ def bott_matrices(min_stage=1, max_stage=5, max_entry=4):
 
 def fractions(max_num=9, max_den=4):
     return st.builds(Fraction, st.integers(-max_num, max_num), st.integers(1, max_den))
+
+
+# -- support functions and ampleness by convexity --------------------------------
+
+def rays(A: BottMatrix) -> list[tuple[str, int, tuple[int, ...]]]:
+    """(kind, j, vector) for u_1..u_n and then v_1..v_n, in v-coordinates."""
+    n = A.n
+    return ([("u", j, tuple(-A.rows[i][j] for i in range(n))) for j in range(n)]
+            + [("v", j, tuple(int(i == j) for i in range(n))) for j in range(n)])
+
+
+@dataclass(frozen=True)
+class SupportFunction:
+    """Ray values of an invariant R-divisor: s on the u-rays, t on the v-rays."""
+
+    s: tuple[Fraction, ...]
+    t: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.s) != len(self.t):
+            raise ValueError("s and t must have equal length")
+
+    @classmethod
+    def from_values(cls, s: Sequence, t: Sequence) -> "SupportFunction":
+        return cls(tuple(Fraction(v) for v in s), tuple(Fraction(v) for v in t))
+
+    def at(self, kind: str, j: int) -> Fraction:
+        """The value on the ray u_j (kind "u") or v_j (kind "v")."""
+        return self.s[j] if kind == "u" else self.t[j]
+
+
+def eval_support(A: BottMatrix, psi: SupportFunction, w: Sequence) -> Fraction:
+    """psi at w, linear on the cone that fan.cone_coordinates writes w in."""
+    return sum((c * psi.at(kind, j) for kind, j, c in
+                cone_coordinates(A, [Fraction(x) for x in w])), Fraction(0))
+
+
+def is_ample(A: BottMatrix, psi: SupportFunction, strict: bool = True) -> bool:
+    """Ampleness (nef when strict=False) of the divisor class of psi.
+
+    The class is ample iff psi(u_j) + psi(v_j) > psi(u_j + v_j) for every
+    opposite pair; these are the convexity inequalities on the primitive
+    collections, and they only depend on the divisor class.  fan.kahler_cone
+    reads the same relations as inequality rows in a divisor basis.
+    """
+    for j, relation in enumerate(primitive_relations(A)):
+        lhs = psi.s[j] + psi.t[j]
+        rhs = sum(c * psi.at(kind, m) for kind, m, c in relation)
+        if not (lhs > rhs if strict else lhs >= rhs):
+            return False
+    return True
 
 
 def support_eval_oracle(A: BottMatrix, psi: SupportFunction, w) -> Fraction:
@@ -282,6 +336,17 @@ def topological_twist0_factorization_exists(A: BottMatrix, entry_bound=None) -> 
     return search(n - 1, identity)
 
 
+def class_from_json(A: BottMatrix, obj: dict) -> coh.CohomologyClass:
+    """The class that `bott` prints as {"terms": [{"monomial", "coeff"}]}."""
+    coeffs: dict[int, int] = {}
+    for term in obj["terms"]:
+        mask = 0
+        for i in term["monomial"]:
+            mask |= 1 << (int(i) - 1)
+        coeffs[mask] = coeffs.get(mask, 0) + int(term["coeff"])
+    return coh.CohomologyClass(coh.ring(A), coeffs)
+
+
 def square_free_product_oracle(ring, m1: int, m2: int,
                                cache: Optional[dict] = None) -> dict[int, int]:
     """Product of two square-free monomials, by rewriting its count vector.
@@ -339,7 +404,7 @@ def multiply_oracle(u, v, cache: Optional[dict] = None):
         for m2, c2 in v.terms():
             for m, c in square_free_product_oracle(u.ring, m1, m2, cache).items():
                 out[m] = out.get(m, 0) + c1 * c2 * c
-    return u.ring.from_terms(out)
+    return coh.CohomologyClass(u.ring, out)
 
 
 def chern_total_oracle(ring):
@@ -573,6 +638,10 @@ def ppow(p: Poly, k: int) -> Poly:
     for _ in range(k):
         out = pmul(out, p)
     return out
+
+
+def pderiv(p: Poly) -> Poly:
+    return poly(i * c for i, c in enumerate(p) if i)
 
 
 def pinteg(p: Poly) -> Poly:
@@ -823,6 +892,21 @@ def p_c_oracle(data) -> Poly:
     return out
 
 
+def scalar_profile(profile, data, z) -> Fraction:
+    """Scalar curvature of the profile at momentum z (exact).
+
+    Raises ZeroDivisionError at a pole of the profile, a root of p_c.
+    """
+    z = Fraction(z)
+    pc_val = peval(p_c_oracle(data), z)
+    if pc_val == 0:
+        raise ZeroDivisionError(f"profile has a pole at z = {z}")
+    total = Fraction(0)
+    for d, s, r in data.components:
+        total += Fraction(2 * d) * s * r / (1 + r * z)
+    return total - peval(pderiv(pderiv(profile.F)), z) / pc_val
+
+
 def extremal_polynomial_oracle(data) -> tuple[Poly, Fraction, Fraction]:
     """(F, A1, A3) by the 4 x 4 endpoint solve over Fraction polynomials.
 
@@ -943,6 +1027,11 @@ class FractionPoly2:
                     for (i, j), c in self.coeffs.items()), Fraction(0))
 
 
+def poly2_value(p, x, y) -> Fraction:
+    """A library Poly2 at (x, y): substitute z1 = x, then evaluate at y."""
+    return peval(p.substitute_x(x), y)
+
+
 # -- positivity by Fraction subdivision -----------------------------------------
 
 def bounds_on_box_oracle(poly, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
@@ -968,7 +1057,7 @@ def bounds_on_box_oracle(poly, x0, x1, y0, y1) -> tuple[Fraction, Fraction]:
 def certify_sign_oracle(poly, depth: int) -> bool:
     """certify_sign_monomial_oracle with Fraction boxes and Fraction bounds:
     the same depth-first subdivision, and Inconclusive at the same box."""
-    center = poly.eval(Fraction(1, 2), Fraction(1, 2))
+    center = poly2_value(poly, Fraction(1, 2), Fraction(1, 2))
     if center <= 0:
         return False
     one = Fraction(1)
@@ -979,7 +1068,7 @@ def certify_sign_oracle(poly, depth: int) -> bool:
         if lo > 0:
             continue
         mx, my = (x0 + x1) / 2, (y0 + y1) / 2
-        if poly.eval(mx, my) <= 0:
+        if poly2_value(poly, mx, my) <= 0:
             return False
         if d >= depth:
             raise ak.Inconclusive("sign not certified within the refinement cap")
@@ -1048,14 +1137,14 @@ def check_integrability_grid_oracle(data, sol, samples=None) -> bool:
 
     def side(num, var, z1, z2):
         # d(num / det)/d(var) at the point, as a Fraction
-        d = det_p.eval(z1, z2)
-        return (num.diff(var).eval(z1, z2) * d - num.eval(z1, z2)
-                * det_p.diff(var).eval(z1, z2)) / (d * d)
+        d = poly2_value(det_p, z1, z2)
+        return (poly2_value(num.diff(var), z1, z2) * d - poly2_value(num, z1, z2)
+                * poly2_value(det_p.diff(var), z1, z2)) / (d * d)
 
     h11, h12, h22 = q * p22, -(q * p12), q * p11
     for z1, z2 in samples:
         z1, z2 = Fraction(z1), Fraction(z2)
-        if det_p.eval(z1, z2) == 0 or q.eval(z1, z2) == 0:
+        if poly2_value(det_p, z1, z2) == 0 or poly2_value(q, z1, z2) == 0:
             raise ZeroDivisionError(f"metric degenerates at ({z1}, {z2})")
         if side(h11, 1, z1, z2) != side(h12, 0, z1, z2):
             return False

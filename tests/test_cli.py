@@ -18,6 +18,7 @@ from bott import symplectic as sp
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
 from bott.core import DEFAULT_STAGE_BOUND, BottMatrix
+from conftest import class_from_json
 
 KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -132,7 +133,7 @@ class TestBasicCommands:
             for kind in "cp":
                 result = run(["classes", kind, "--stage3", "1", str(top), str(-top)])
                 assert result.exit_code == 0
-                assert coh.class_from_json(A, result.payload) == (
+                assert class_from_json(A, result.payload) == (
                     coh.ring(A).chern_total() if kind == "c" else coh.ring(A).pontrjagin_total())
         for past in (2 ** 64, -(2 ** 64)):
             for kind in "cp":
@@ -144,15 +145,15 @@ class TestBasicCommands:
     def test_class_payload_round_trip(self):
         A = BottMatrix.stage3(3, -1, 2)
         payload = run(["classes", "c", "--stage3", "3", "-1", "2"]).payload
-        assert coh.class_from_json(A, payload) == coh.ring(A).chern_total()
+        assert class_from_json(A, payload) == coh.ring(A).chern_total()
 
     def test_cohomology_payload_round_trip(self):
         A = BottMatrix.stage3(4, -7, 9)
         payload = run(["cohomology", "--stage3", "4", "-7", "9"]).payload
         R = coh.ring(A)
         for k in range(3):
-            assert coh.class_from_json(A, payload["alpha"][k]) == R.alpha(k)
-            assert coh.class_from_json(A, payload["y"][k]) == R.y(k)
+            assert class_from_json(A, payload["alpha"][k]) == R.alpha(k)
+            assert class_from_json(A, payload["y"][k]) == R.y(k)
 
     def test_ring_commands_share_one_ring(self):
         coh.ring.cache_clear()
@@ -439,6 +440,28 @@ class TestErrors:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["extremal-poly", "--data", blob]) == 1
+        assert json.loads(err.getvalue())["error"] == "invalid_input"
+
+    @pytest.mark.parametrize("argv, key", [
+        (["twist", "--matrix"], "rows"),
+        (["extremal-poly", "--data"], "components"),
+        (["cproj", "--alpha=-5/19", "--data"], "components"),
+    ])
+    @pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+    def test_deeply_nested_json(self, tmp_path, argv, key, from_file):
+        # json's decoder recurses once per level, past the interpreter's
+        # recursion limit here: bad input, not a traceback
+        blob = f'{{"{key}":' + "[" * 10_000 + "]" * 10_000 + "}"
+        if from_file:
+            path = tmp_path / "deep.json"
+            path.write_text(blob, encoding="utf-8")
+            blob = str(path)
+        result = run([*argv, blob])
+        assert result.exit_code == 1
+        assert result.payload == {"error": "invalid_input", "message": "JSON nested too deeply"}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, blob]) == 1
         assert json.loads(err.getvalue())["error"] == "invalid_input"
 
     @pytest.mark.parametrize("argv", [

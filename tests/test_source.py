@@ -1,11 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bott").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "bott").glob("*.py"))
 
 
 def test_sources_found():
@@ -20,7 +23,7 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at line(s) {lines}"
 
 
-RATIONAL_HELPERS = {"padd", "pneg", "psub", "pscale", "pmul", "ppow", "pinteg",
+RATIONAL_HELPERS = {"padd", "pneg", "psub", "pscale", "pmul", "ppow", "pderiv", "pinteg",
                     "definite_integral", "pgcd", "squarefree_part", "_int_gcd", "_squarefree"}
 # the Sturm isolation, now the integer and Fraction oracles in tests/conftest.py
 STURM_HELPERS = {"_sturm_chain", "_variations", "_count", "isolate_roots"}
@@ -124,3 +127,83 @@ def test_refusal_is_not_a_value_error():
     from bott.core import StageTooLarge
 
     assert not issubclass(StageTooLarge, ValueError)
+
+
+# Names that no module of src/bott or scripts/ reaches, kept because each
+# states a result of the paper or is read by the benchmark's output checks
+# (csc_condition, extremal_residual).  README's "Library API" section says
+# what each one decides.
+LIBRARY_API = {
+    # core: the tower constructors, the inverse and the groupoid moves
+    "stage2", "twist_one", "twist_two", "inverse",
+    "fiber_inversion", "permutation_conjugate", "normalize_twist", "are_equivalent",
+    # cohomology
+    "coefficient", "pontrjagin_class", "is_q_trivial", "square_zero_primitives",
+    # fan
+    "ample_cone_is_first_orthant", "csc_obstructed",
+    # topology3
+    "stage3_diffeomorphic", "twist1_class_count",
+    # symplectic
+    "hirzebruch_compat_count", "stage3_compatible_class", "growth_bounds_hold",
+    "product_class_is_kahler", "twist1_compatible",
+    # admissible
+    "ks_data", "is_ke_ks", "is_csc_pair", "csc_second_family_polynomial", "csc_condition",
+    # almostkahler
+    "verify_boundary", "extremal_residual",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name is read in node: as a name, an attribute or an import."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _definitions(node, prefix: str):
+    """(qualified name, node) for each function, method and class in node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{child.name}", child
+            yield from _definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _library_api_section() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    _, heading, rest = readme.partition("\n## Library API\n")
+    assert heading, "README has no Library API section"
+    return rest.split("\n## ", 1)[0]
+
+
+def test_every_name_has_a_caller():
+    # every function, method and class of src/bott is read by src/bott or
+    # scripts/ outside its own body, wrapped by the benchmark tracer, or
+    # listed as library API: oracles and inspection helpers live in tests/
+    from test_tracer_hooks import tracer
+
+    hooked = {path.split(".")[-1] for _, path, *_ in tracer.HOOKS}
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES + sorted((ROOT / "scripts").glob("*.py"))}
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    unreached, defined = [], set()
+    for path in SOURCES:
+        for qualname, node in _definitions(trees[path], path.stem):
+            defined.add(node.name)
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue   # Python calls these itself
+            if references[node.name] > _references(node)[node.name]:
+                continue
+            if node.name not in hooked | LIBRARY_API:
+                unreached.append(qualname)
+    assert not unreached, f"only tests reach {sorted(unreached)}"
+    assert LIBRARY_API <= defined, sorted(LIBRARY_API - defined)
+    undocumented = LIBRARY_API - set(re.findall(r"\w+", _library_api_section()))
+    assert not undocumented, f"not in README's Library API section: {sorted(undocumented)}"

@@ -28,7 +28,6 @@ from . import fan as bfan
 from . import symplectic as sp
 from . import topology3 as t3
 from .core import (
-    DEFAULT_STAGE_BOUND,
     BottMatrix,
     StageTooLarge,
     cotwist,
@@ -177,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("twist", "cotwist", "orbit", "cohomology", "reductive", "roots", "fano"):
         p = sub.add_parser(name)
         _add_matrix_args(p)
-        if name in ("orbit", "reductive", "roots"):
-            p.add_argument("--stage-bound", type=int, default=DEFAULT_STAGE_BOUND)
 
     p = sub.add_parser("classes", help="characteristic classes")
     p.add_argument("kind", choices=["c", "p", "w2"])
@@ -203,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k1", type=_frac)
     p.add_argument("k2", type=_frac)
     p.add_argument("k3", type=_frac)
-    p.add_argument("--enumerate", action="store_true", dest="enumerate_reps")
 
     p = sub.add_parser("compat-enumerate")
     p.add_argument("k1", type=_frac)
@@ -268,7 +264,7 @@ def _payload_for(args):
         return (twist(A) if cmd == "twist" else cotwist(A)), None
 
     if cmd == "orbit":
-        return _orbit_json(equivalence_orbit(_load_matrix(args), args.stage_bound)), None
+        return _orbit_json(equivalence_orbit(_load_matrix(args))), None
 
     if cmd == "cohomology":
         A = _load_matrix(args)
@@ -317,23 +313,19 @@ def _payload_for(args):
 
     if cmd == "roots":
         A = _load_matrix(args)
-        roots = bfan.demazure_roots(A, args.stage_bound)
+        roots = bfan.demazure_roots(A)
         return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
                 "reductive": roots.is_symmetric()}, None
 
     if cmd == "reductive":
-        return bfan.is_reductive(_load_matrix(args), args.stage_bound), None
+        return bfan.is_reductive(_load_matrix(args)), None
 
     if cmd == "fano":
         return bfan.is_fano(_load_matrix(args)), None
 
     if cmd == "symplectic-count":
         n_b0, n_bne0, n_b = sp.count_compatible(args.k1, args.k2, args.k3)
-        payload = {"N_B0": n_b0, "N_Bne0": n_bne0, "N_B": n_b}
-        if args.enumerate_reps:
-            payload["representatives"] = [list(t) for t in
-                                          sp.enumerate_compatible(args.k1, args.k2, args.k3)]
-        return payload, None
+        return {"N_B0": n_b0, "N_Bne0": n_bne0, "N_B": n_b}, None
 
     if cmd == "compat-enumerate":
         reps = sp.enumerate_compatible(args.k1, args.k2, args.k3)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-DEFAULT_STAGE_BOUND = 8
+ORBIT_STAGE_BOUND = 8   # `orbit` lists the n! stage orders of the identity: 0.2 s at n = 8
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -326,12 +326,12 @@ def permutation_conjugate(A: BottMatrix, sigma: Sequence[int]) -> Optional[BottM
     return apply_signed_permutation(A, sigma, (0,) * A.n)
 
 
-def _check_stage_bound(n: int, stage_bound: int) -> None:
-    if n > stage_bound:
-        raise StageTooLarge(f"stage {n} exceeds bound {stage_bound}")
+def _check_stage_bound(n: int) -> None:
+    if n > ORBIT_STAGE_BOUND:
+        raise StageTooLarge(f"stage {n} exceeds bound {ORBIT_STAGE_BOUND}")
 
 
-def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> OrbitReport:
+def equivalence_orbit(A: BottMatrix) -> OrbitReport:
     """All tower matrices biholomorphic to A, with generator edges.
 
     Members are the images over each distinct W_F and each linear
@@ -341,7 +341,7 @@ def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> 
     off one pair (F, sigma) that gives it (see the module docstring).
     """
     n = A.n
-    _check_stage_bound(n, stage_bound)
+    _check_stage_bound(n)
     canonical, first = _flip_classes(A)
     # found numbers the distinct images in the order they appear; member_at
     # maps the key F n^n + code(sigma) of every pair (one F per W_F) to the
@@ -384,17 +384,16 @@ def equivalence_orbit(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> 
     return OrbitReport(reps, reps[0], tuple(edges))
 
 
-def canonical_form(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> BottMatrix:
+def canonical_form(A: BottMatrix) -> BottMatrix:
     """Lexicographically minimal matrix in the equivalence orbit."""
-    _check_stage_bound(A.n, stage_bound)
+    _check_stage_bound(A.n)
     return BottMatrix(min(_orbit_images(A)))
 
 
-def are_equivalent(A: BottMatrix, B: BottMatrix,
-                   stage_bound: int = DEFAULT_STAGE_BOUND) -> bool:
+def are_equivalent(A: BottMatrix, B: BottMatrix) -> bool:
     if A.n != B.n:
         return False
-    _check_stage_bound(A.n, stage_bound)
+    _check_stage_bound(A.n)
     return any(rows == B.rows for rows in _orbit_images(A))
 
 

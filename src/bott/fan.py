@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Sequence
 
-from .core import DEFAULT_STAGE_BOUND, BottMatrix, _check_stage_bound, canonical_form
+from .core import BottMatrix, StageTooLarge, canonical_form
+
+ROOT_SEARCH_BOUND = 750_000   # steps of `_roots`: 1 s of `bott roots` at the bound
 
 
 def cone_coordinates(A: BottMatrix, w: Sequence) -> list[tuple[str, int, Any]]:
@@ -131,8 +133,14 @@ class DemazureRootSet:
         return tuple(chi) in self.roots
 
 
-def demazure_roots(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> DemazureRootSet:
-    """All Demazure roots of the tower's fan, by triangular back-substitution.
+def _columns(A: BottMatrix) -> list[list[tuple[int, int]]]:
+    """Column i of A below the diagonal, as the (k, A[k][i]) pairs with A[k][i] != 0."""
+    n = A.n
+    return [[(k, A.rows[k][i]) for k in range(i + 1, n) if A.rows[k][i]] for i in range(n)]
+
+
+def _roots(A: BottMatrix) -> Iterator[tuple[int, ...]]:
+    """Every Demazure root of the tower's fan, by triangular back-substitution.
 
     With v_i = e_i and u_i = -e_i - sum_{k>i} A[k][i] e_k, the conditions
     on the pair v_i, u_i read -sum_{k>i} A[k][i] chi_k <= chi_i <= 0, a
@@ -140,64 +148,60 @@ def demazure_roots(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> Dem
     v_j (u_j) this forces chi_k = 0 for every k > j, from the last stage
     down; chi_j = +1 (-1); and each chi_i with i < j runs over the
     integers of [-sum_{k>i} A[k][i] chi_k, 0], from stage j - 1 down to
-    stage 0.  The cost is the number of lattice points visited in these
-    nested intervals; no linear system is solved.
+    stage 0.  No linear system is solved.
+
+    chi is the search's only stack: each level rises from the low end of
+    its interval to 0.  Each level visited, a dead end included, is a
+    step, and each root yielded is n; past ROOT_SEARCH_BOUND steps the
+    search raises StageTooLarge.
     """
     n = A.n
-    _check_stage_bound(n, stage_bound)
-    # column i of A below the diagonal, as (k, A[k][i]) pairs
-    below = [[(k, A.rows[k][i]) for k in range(i + 1, n) if A.rows[k][i]] for i in range(n)]
-    roots: set[tuple[int, ...]] = set()
+    below = _columns(A)
     chi = [0] * n
-
-    def descend(i: int) -> None:
-        if i < 0:
-            roots.add(tuple(chi))
-            return
-        for value in range(-sum(a * chi[k] for k, a in below[i]), 1):
-            chi[i] = value
-            descend(i - 1)
-        chi[i] = 0
-
+    steps = 0
     for j in range(n):
         for sign in (1, -1):
             chi[j] = sign
-            descend(j - 1)
-            chi[j] = 0
-    return DemazureRootSet(n, frozenset(roots))
+            i = j
+            while True:
+                while i and (low := -sum(a * chi[k] for k, a in below[i - 1])) <= 0:
+                    i -= 1
+                    chi[i] = low
+                    steps += 1
+                steps += 1 if i else n   # a dead end at level i - 1, or a root
+                if not i:
+                    yield tuple(chi)
+                if steps > ROOT_SEARCH_BOUND:
+                    raise StageTooLarge(f"root search of {steps} steps exceeds bound "
+                                        f"{ROOT_SEARCH_BOUND}")
+                while i < j and not chi[i]:
+                    i += 1
+                if i == j:
+                    break
+                chi[i] += 1
+                steps += 1
+        chi[j] = 0
 
 
-def is_reductive(A: BottMatrix, stage_bound: int = DEFAULT_STAGE_BOUND) -> bool:
-    """Reductivity of the identity automorphism component: roots balance."""
-    return demazure_roots(A, stage_bound).is_symmetric()
+def demazure_roots(A: BottMatrix) -> DemazureRootSet:
+    """All Demazure roots of the tower's fan (see `_roots`)."""
+    return DemazureRootSet(A.n, frozenset(_roots(A)))
 
 
-def csc_obstructed(A: BottMatrix) -> tuple[bool, Optional[tuple[str, int]]]:
-    """Sufficient test for the obstruction to constant scalar curvature.
+def is_reductive(A: BottMatrix) -> bool:
+    """Reductivity of the identity automorphism component: roots balance.
 
-    Fires when some row's below-diagonal entries are weakly same-signed
-    and not all zero.  When it fires the automorphism group is not
-    reductive, so no Kahler metric has constant scalar curvature; when
-    it does not, nothing follows.  The answer depends on the matrix
-    chosen for the tower: the orbit of the n = 5 tower with rows
-    (1,0,0,0,0), (0,1,0,0,0), (0,0,1,0,0), (0,-2,2,1,0), (0,0,0,-1,1)
-    has 40 members, none reductive, and the test fires on 20 of them.
-    `is_reductive` answers for the tower itself.  Returns the witness
-    ("row", i) found.
-
-    A nontrivial leading block of topological twist zero needs no test
-    of its own.  Take the block's first row i with a nonzero entry below
-    the diagonal.  The earlier x_j square to zero, so
-    alpha_i^2 = 2 sum_{j<l} A[i][j] A[i][l] x_j x_l.  With one nonzero
-    entry the row test fires on row i; with two or more alpha_i^2 != 0,
-    and the block's topological twist is at least 1.
+    False at the first root whose negative psi is no root, that is, does
+    not pair to 1 with one ray and to at most 0 with the others; psi pairs
+    with v_i to psi_i and with u_i to -psi_i - sum_{k>i} A[k][i] psi_k.
     """
-    n = A.n
-    for i in range(1, n):
-        below = A.rows[i][:i]
-        if any(below) and (all(e >= 0 for e in below) or all(e <= 0 for e in below)):
-            return True, ("row", i)
-    return False, None
+    below = _columns(A)
+    for chi in _roots(A):
+        positive = [value for i, c in enumerate(chi)
+                    for value in (-c, c + sum(a * chi[k] for k, a in below[i])) if value > 0]
+        if positive != [1]:
+            return False
+    return True
 
 
 _KE_STAGE3 = (BottMatrix.identity(3), BottMatrix.stage3(0, 1, -1))

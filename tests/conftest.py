@@ -21,8 +21,9 @@ an integer Sturm chain instead of the library's Descartes' rule of
 signs, the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
 values, stage-3 diffeomorphism is decided invariant by invariant
-without the canonical key, and twist-one diffeomorphism is decided by
-trying every permutation.
+without the canonical key, twist-one diffeomorphism is decided by
+trying every permutation, and a non-reductive tower is recognized by the
+sign pattern of one row.
 """
 
 import itertools
@@ -291,6 +292,34 @@ def demazure_roots_vertex_oracle(A: BottMatrix) -> set[tuple[int, ...]]:
             if all(sum(a * b for a, b in zip(v, chi)) <= 0 for v in others):
                 roots.add(chi)
     return roots
+
+
+def csc_obstructed(A: BottMatrix) -> tuple[bool, Optional[tuple[str, int]]]:
+    """The row test for the obstruction to constant scalar curvature.
+
+    Fires when some row's below-diagonal entries are weakly same-signed
+    and not all zero, and returns the witness ("row", i) found.  Then
+    e_i (for a nonnegative row) or -e_i (nonpositive) is a Demazure root
+    whose negative is not, so the automorphism group is not reductive;
+    `is_reductive` finds such a root by itself.  The answer depends on
+    the matrix chosen for the tower: the orbit of the n = 5 tower with
+    rows (1,0,0,0,0), (0,1,0,0,0), (0,0,1,0,0), (0,-2,2,1,0),
+    (0,0,0,-1,1) has 40 members, none reductive, and the test fires on
+    20 of them.
+
+    A nontrivial leading block of topological twist zero needs no test
+    of its own.  Take the block's first row i with a nonzero entry below
+    the diagonal.  The earlier x_j square to zero, so
+    alpha_i^2 = 2 sum_{j<l} A[i][j] A[i][l] x_j x_l.  With one nonzero
+    entry the row test fires on row i; with two or more alpha_i^2 != 0,
+    and the block's topological twist is at least 1.
+    """
+    n = A.n
+    for i in range(1, n):
+        below = A.rows[i][:i]
+        if any(below) and (all(e >= 0 for e in below) or all(e <= 0 for e in below)):
+            return True, ("row", i)
+    return False, None
 
 
 def topological_twist0_factorization_exists(A: BottMatrix, entry_bound=None) -> bool:

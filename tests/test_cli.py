@@ -17,9 +17,11 @@ from bott import cohomology as coh
 from bott import symplectic as sp
 from bott.admissible import AdmissibleData
 from bott.cli import main, run
-from bott.core import DEFAULT_STAGE_BOUND, BottMatrix
+from bott.core import ORBIT_STAGE_BOUND, BottMatrix
+from bott.fan import ROOT_SEARCH_BOUND
 from conftest import class_from_json
 
+IDENTITY9 = json.dumps(BottMatrix.identity(9).to_json())   # one stage past ORBIT_STAGE_BOUND
 KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -376,14 +378,14 @@ class TestScan:
 
 class TestErrors:
     def test_domain_error_exit_1(self):
-        result = run(["orbit", "--stage3", "1", "1", "1", "--stage-bound", "2"])
+        result = run(["orbit", "--matrix", IDENTITY9])
         assert result.exit_code == 1
         assert result.payload["error"] == "stage_too_large"
 
     def test_main_prints_error_to_stderr(self):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["orbit", "--stage3", "1", "1", "1", "--stage-bound", "2"])
+            code = main(["orbit", "--matrix", IDENTITY9])
         assert code == 1
         assert json.loads(err.getvalue())["error"] == "stage_too_large"
 
@@ -417,11 +419,16 @@ class TestErrors:
             assert main(["orbit", "--matrix", blob]) == 1
         assert json.loads(err.getvalue())["error"] == "invalid_input"
 
-    @pytest.mark.parametrize("command", ["reductive", "roots", "orbit"])
-    def test_zero_stage_bound_is_a_bound(self, command):
-        result = run([command, "--stage3", "1", "2", "3", "--stage-bound", "0"])
-        assert result.exit_code == 1
-        assert result.payload["error"] == "stage_too_large"
+    @pytest.mark.parametrize("argv", [
+        ["reductive", "--stage3", "1", "2", "3", "--stage-bound", "8"],
+        ["roots", "--stage3", "1", "2", "3", "--stage-bound", "8"],
+        ["orbit", "--stage3", "1", "2", "3", "--stage-bound", "8"],
+        ["symplectic-count", "11", "6", "1", "--enumerate"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_flags_are_parse_errors(self, argv):
+        # the bounds are module constants, and compat-enumerate lists the towers
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 2
 
     def test_grid_flag_removed(self):
         # integrability is decided exactly, with no sample grid to size
@@ -467,8 +474,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["symplectic-count", "1000", "1", "1/1000"],       # ceil(k1/k3) = 10^6
         ["symplectic-count", "50001", "1", "1"],
-        ["symplectic-count", "316", "1", "1", "--enumerate"],   # N_B = 50,086
-        ["compat-enumerate", "316", "1", "1"],
+        ["compat-enumerate", "50001", "1", "1"],
+        ["compat-enumerate", "316", "1", "1"],   # N_B = 50,086
     ])
     def test_symplectic_bounds_refuse(self, argv):
         result = run(argv)
@@ -673,7 +680,7 @@ class TestRendering:
         ["twist1-diffeo", "--k", "1", "2", "3", "--kprime", "-1", "-2", "3"],
         ["cone", "--stage3", "-1", "2", "-3", "--basis", "uvu"],
         ["cone", "--stage3", "0", "0", "0", "--scan-bases"],
-        ["symplectic-count", "11", "6", "1", "--enumerate"],
+        ["symplectic-count", "11", "6", "1"],
         ["compat-enumerate", "5", "3", "1"],
         ["extremal-poly", "--data", KS_DATA],
         ["csc-family", "--m", "2", "--rplus", "1/3"],
@@ -708,7 +715,7 @@ class TestRendering:
         assert self.printed(argv) == (0, result.text, "")
 
     @pytest.mark.parametrize("argv", [
-        ["orbit", "--stage3", "1", "2", "3", "--stage-bound", "2"],
+        ["orbit", "--matrix", IDENTITY9],
         ["classes", "c", "--stage3", "0", "0", str(2 ** 64)],
         ["twist", "--matrix", '{"n": 2, "rows": [[1, 0], [1, 2]]}'],
     ], ids=lambda argv: argv[0])
@@ -801,17 +808,21 @@ _contract_argv = st.one_of(
 # Towers for the contract fuzz: stage-3 shorthand of any arity, square
 # lower-triangular matrices up to one stage past the largest bound (small or
 # huge entries), matrices with a wrong shape, diagonal, upper entry, entry
-# type or n, and text that is no matrix.  `orbit` runs under --stage-bound 5.
-# `roots` and `reductive` stay out: at n = 3 their cost already grows with
-# the size of the entries, and no bound covers that yet.
+# type or n, and text that is no matrix.  `orbit` gets no matrix of 6 to 8
+# stages: only its stage bound covers it yet, and sparse towers of 8 stages
+# take seconds.  `roots` and `reductive` run on all of them.
 _entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 60, 10 ** 60))
 _bad_entry = st.sampled_from([0, 2, -1, 1.5, True, "1", None, [1]])
 _entry_text = st.one_of(_entry.map(str), _int_text)
 
 
+_stages = st.one_of(st.integers(1, 5), st.integers(0, 15))
+_orbit_stages = st.one_of(st.integers(1, 5), st.integers(ORBIT_STAGE_BOUND + 1, 15))
+
+
 @st.composite
-def _matrix_text(draw):
-    n = draw(st.one_of(st.integers(1, 5), st.integers(0, 15)))
+def _matrix_text(draw, stages):
+    n = draw(stages)
     rows = [[draw(_entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
     flaw = draw(st.sampled_from(["none", "none", "none", "cell", "ragged", "n", "rows"]))
     if flaw == "cell" and n:
@@ -827,14 +838,19 @@ def _matrix_text(draw):
 
 _stage3_text = st.lists(_entry_text, min_size=3, max_size=3).map(
     lambda xs: json.dumps({"stage3": [int(x) if x.lstrip("-").isdigit() else x for x in xs]}))
-_tower_args = st.one_of(
-    st.lists(_entry_text, min_size=0, max_size=4).map(lambda xs: ["--stage3", *xs]),
-    _matrix_text().map(lambda text: ["--matrix", text]),
-    _stage3_text.map(lambda text: ["--matrix", text]),
-    st.sampled_from([[], ["--matrix", "{"], ["--matrix", "{}"], ["--matrix", '{"n": 2}'],
-                     ["--matrix", "missing.json"], ["--matrix", ""],
-                     ["--stage3", "0", "1", "2", "--matrix", '{"stage3": [0, 1, 2]}']]),
-)
+
+
+def _tower_args(stages):
+    return st.one_of(
+        st.lists(_entry_text, min_size=0, max_size=4).map(lambda xs: ["--stage3", *xs]),
+        _matrix_text(stages).map(lambda text: ["--matrix", text]),
+        _stage3_text.map(lambda text: ["--matrix", text]),
+        st.sampled_from([[], ["--matrix", "{"], ["--matrix", "{}"], ["--matrix", '{"n": 2}'],
+                         ["--matrix", "missing.json"], ["--matrix", ""],
+                         ["--stage3", "0", "1", "2", "--matrix", '{"stage3": [0, 1, 2]}']]),
+    )
+
+
 _basis_text = st.one_of(st.text("uv", max_size=16), _junk_text)
 _weights = st.lists(st.one_of(_rational_text, _unit_text), min_size=3, max_size=3)
 
@@ -842,12 +858,10 @@ _weights = st.lists(st.one_of(_rational_text, _unit_text), min_size=3, max_size=
 @st.composite
 def _tower_argv(draw):
     command = draw(st.sampled_from(["twist", "cotwist", "cohomology", "fano", "classes",
-                                    "orbit", "cone"]))
-    argv = [command, *draw(_tower_args)]
+                                    "orbit", "cone", "roots", "reductive"]))
+    argv = [command, *draw(_tower_args(_orbit_stages if command == "orbit" else _stages))]
     if command == "classes":
         argv.insert(1, draw(st.sampled_from(["c", "p", "w2", "x"])))
-    elif command == "orbit":
-        argv += ["--stage-bound", "5"]
     elif command == "cone":
         argv += draw(st.sampled_from([[], ["--scan-bases"], ["--basis", draw(_basis_text)]]))
     return argv
@@ -862,8 +876,7 @@ _other_argv = st.sampled_from([
     st.builds(lambda r, csv: ["scan", "--radius", r, *csv],
               st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["7", "8"]), _int_text),
               st.sampled_from([[], ["--csv"]])),
-    st.builds(lambda ks, e: ["symplectic-count", *ks, *e], _weights,
-              st.sampled_from([[], ["--enumerate"]])),
+    st.builds(lambda ks: ["symplectic-count", *ks], _weights),
     st.builds(lambda ks: ["compat-enumerate", *ks], _weights),
 ]).flatmap(lambda strategy: strategy)
 
@@ -885,6 +898,7 @@ class TestContract:
             assert error in {*cli.DOMAIN_ERRORS.values(), "invalid_input"}
         elif code == 0:
             assert out.getvalue() and not err.getvalue()
+        return code, out.getvalue(), err.getvalue()
 
     @given(_contract_argv)
     @settings(max_examples=200, deadline=None)
@@ -905,12 +919,33 @@ class TestContract:
         {"n": 9, "rows": [[(-1) ** (i * j) * 10 ** 60 if j < i else int(i == j)
                            for j in range(9)] for i in range(9)]})])
     @example(["cone", "--scan-bases", "--matrix", json.dumps(BottMatrix.identity(14).to_json())])
-    @example(["orbit", "--stage-bound", "5", "--matrix",
+    @example(["orbit", "--matrix",
               '{"rows": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,1,1]]}'])
     @example(["twist1-diffeo", "--k", str(10 ** 60), "0", "--kprime", "1"])
     @example(["classify3", str(-10 ** 60), "3", str(10 ** 60)])
     def test_tower_and_symplectic_commands(self, argv):
         self.assert_contract(argv)
+
+    @pytest.mark.parametrize("command", ["roots", "reductive"])
+    @pytest.mark.parametrize("tower", [
+        [[1, 0, 0], [-300, 1, 0], [0, -300, 1]],
+        [[1, 0, 0, 0], [-10, 1, 0, 0], [-10, -10, 1, 0], [10, 7, -10, 1]],
+        1200,
+    ], ids=["pm300", "roots190324", "identity1200"])
+    def test_root_search_answers_or_refuses(self, command, tower):
+        # the search counts its steps: the 190,324 roots of the second tower
+        # and the identity of 1,200 stages may each be refused, within 2 s
+        A = BottMatrix.identity(tower) if tower == 1200 else BottMatrix.from_rows(tower)
+        argv = [command, "--matrix", json.dumps(A.to_json())]
+        start = time.perf_counter()
+        code, out, err = self.assert_contract(argv)
+        assert time.perf_counter() - start < 2
+        if code == 1:
+            assert json.loads(err)["error"] == "stage_too_large"
+        else:
+            assert code == 0
+        if command == "reductive" and tower == [[1, 0, 0], [-300, 1, 0], [0, -300, 1]]:
+            assert (code, out) == (0, "false\n")   # row 1 is nonpositive
 
 
 class TestConfig:
@@ -942,14 +977,13 @@ class TestConfig:
     def test_config_file_sets_no_bound(self, tmp_path, monkeypatch):
         path = self.config_file(tmp_path, '{"orbit_stage_bound": 2}')
         self.assert_file_ignored(path, monkeypatch)
-        assert self.main_code(["--config", path, *self.ORBIT, "--stage-bound", "4"]) == 2
 
     def test_flag_overrides_config(self, tmp_path, monkeypatch):
-        # the flag is the one setting of the bound, with the environment set or not
-        monkeypatch.setenv("BOTT_CONFIG", self.config_file(tmp_path, '{"orbit_stage_bound": 2}'))
-        assert run([*self.ORBIT, "--stage-bound", "4"]).exit_code == 0
-        result = run([*self.ORBIT, "--stage-bound", "2"])
-        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+        # --tolerance is the one setting of the tolerance, with the environment set or not
+        argv = ["csc-family", "--m", "2", "--rplus", "1/3"]
+        default, coarse = run(argv), run([*argv, "--tolerance", "1/10"])
+        monkeypatch.setenv("BOTT_CONFIG", self.config_file(tmp_path, '{"csc_tolerance": "1/1000"}'))
+        assert run(argv) == default and run([*argv, "--tolerance", "1/10"]) == coarse
 
     @pytest.mark.parametrize("text", [
         '{"orbit_stage_bound": true}', '{"root_stage_bound": false}',
@@ -986,21 +1020,20 @@ class TestConfig:
             tmp_path, '{"root_stage_bound": 3, "csc_tolerance": "1e-6"}'))
         identity4 = json.dumps(BottMatrix.identity(4).to_json())
         assert run(["roots", "--matrix", identity4]).exit_code == 0
-        result = run(["roots", "--matrix", identity4, "--stage-bound", "3"])
-        assert result.payload["error"] == "stage_too_large"
+        argv = ["csc-family", "--m=2", "--rplus=1/3"]
+        assert run(argv).payload == run([*argv, "--tolerance=1e-12"]).payload
 
     def test_flags_set_each_limit(self):
-        # --stage-bound defaults to core.DEFAULT_STAGE_BOUND, --tolerance to
-        # admissible.DEFAULT_CSC_TOLERANCE; the positivity depth has no setting
-        assert (DEFAULT_STAGE_BOUND, adm.DEFAULT_CSC_TOLERANCE) == (8, Fraction(1, 10 ** 12))
-        nine = json.dumps(BottMatrix.identity(9).to_json())
-        for command in ("orbit", "roots", "reductive"):
-            assert cli.build_parser().parse_args([command]).stage_bound == DEFAULT_STAGE_BOUND
-            result = run([command, "--matrix", nine])
-            assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
-        # the identity's orbit lists all n! stage orders, so only the cheap commands run at n = 9
+        # the stages of `orbit` and the steps of the root search are module
+        # constants, --tolerance defaults to admissible.DEFAULT_CSC_TOLERANCE,
+        # and the positivity depth has no setting
+        assert (ORBIT_STAGE_BOUND, ROOT_SEARCH_BOUND, adm.DEFAULT_CSC_TOLERANCE) == \
+            (8, 750_000, Fraction(1, 10 ** 12))
+        result = run(["orbit", "--matrix", IDENTITY9])
+        assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+        # the identity's orbit lists all n! stage orders, its roots are only 2n
         for command in ("roots", "reductive"):
-            assert run([command, "--matrix", nine, "--stage-bound", "9"]).exit_code == 0
+            assert run([command, "--matrix", IDENTITY9]).exit_code == 0
         argv = ["csc-family", "--m", "2", "--rplus", "1/3"]
         default, coarse = run(argv), run([*argv, "--tolerance", "1/10"])
         assert default.payload == run([*argv, "--tolerance", "1e-12"]).payload
@@ -1009,15 +1042,16 @@ class TestConfig:
 
 
 class TestParserReuse:
-    # each pair runs a flag, then the same command without it; a parse
-    # error (exit 2) sits in between
+    # each pair runs a flag (a removed one for orbit, the representatives
+    # for the weights), then the same command without it; a parse error
+    # (exit 2) sits in between
     SEQUENCE = [
         ["orbit", "--stage3", "1", "2", "3", "--stage-bound", "2"],
         ["orbit", "--stage3", "1", "2", "3"],
         ["cone", "--stage3", "-1", "2", "-3", "--basis", "uvu"],
         ["twist", "--stage3", "x", "1", "2"],
         ["cone", "--stage3", "-1", "2", "-3"],
-        ["symplectic-count", "11", "6", "1", "--enumerate"],
+        ["compat-enumerate", "11", "6", "1"],
         ["symplectic-count", "11", "6", "1"],
         ["csc-family", "--m", "2", "--rplus", "1/3", "--csv"],
         ["cone", "--basis"],
@@ -1049,7 +1083,7 @@ class TestParserReuse:
         assert len(builds) == 1 + len(self.SEQUENCE)
         assert reused == fresh
         assert [r if isinstance(r, tuple) else r.exit_code for r in reused] == \
-            [1, 0, 0, ("exit", 2), 0, 0, 0, 0, ("exit", 2), 0]
+            [("exit", 2), 0, 0, ("exit", 2), 0, 0, 0, 0, ("exit", 2), 0]
         assert "representatives" in reused[5].payload
         assert "representatives" not in reused[6].payload
         assert reused[7].text.startswith("m,r_plus,r_minus\n")

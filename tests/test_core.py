@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from bott.core import (
+    ORBIT_STAGE_BOUND,
     BottMatrix,
     StageTooLarge,
     apply_signed_permutation,
@@ -207,8 +208,12 @@ class TestOrbits:
         assert reps == {(1, 2, 3), (1, -2, -3), (-1, -1, 3), (-1, 1, -3)}
 
     def test_stage_bound(self):
-        with pytest.raises(StageTooLarge):
-            equivalence_orbit(BottMatrix.identity(3), stage_bound=2)
+        # the refusal text is pinned by the benchmark's digest of its n = 9 orbit
+        assert ORBIT_STAGE_BOUND == 8
+        with pytest.raises(StageTooLarge, match=r"^stage 9 exceeds bound 8$"):
+            equivalence_orbit(BottMatrix.identity(9))
+        with pytest.raises(StageTooLarge, match=r"^stage 9 exceeds bound 8$"):
+            canonical_form(BottMatrix.identity(9))
 
     def test_matches_generator_closure_oracle(self):
         for params in [(1, 2, 3), (2, 0, 0), (0, 4, -2), (1, 1, 1), (-2, 3, 1)]:
@@ -267,7 +272,7 @@ class TestOrbits:
         assert not are_equivalent(M3(2, 0, 0), M3(1, 0, 0))
         assert not are_equivalent(M3(0, 0, 0), BottMatrix.identity(2))
         with pytest.raises(StageTooLarge):
-            are_equivalent(M3(1, 0, 0), M3(1, 0, 0), stage_bound=2)
+            are_equivalent(BottMatrix.identity(9), BottMatrix.identity(9))
 
     @given(bott_matrices(min_stage=2, max_stage=4, max_entry=2),
            bott_matrices(min_stage=2, max_stage=4, max_entry=2))

@@ -11,6 +11,7 @@ from bott.core import BottMatrix, StageTooLarge, cotwist, equivalence_orbit, twi
 from conftest import (
     SupportFunction,
     bott_matrices,
+    csc_obstructed,
     demazure_roots_vertex_oracle,
     eval_support,
     fractions,
@@ -234,9 +235,18 @@ class TestDemazureRoots:
         roots = bfan.demazure_roots(BottMatrix.identity(3))
         assert len(roots) == 6 and roots.is_symmetric()
 
-    def test_stage_bound(self):
+    def test_search_bound(self):
+        # the search counts one step per level visited and n per root, so the
+        # stage alone bounds nothing: the identity of stage n takes about 3n^2
+        assert len(bfan.demazure_roots(BottMatrix.identity(200))) == 400
+        assert bfan.is_reductive(BottMatrix.identity(200))
+        for A in (BottMatrix.identity(1200), BottMatrix.stage2(bfan.ROOT_SEARCH_BOUND)):
+            with pytest.raises(StageTooLarge, match=r"^root search of \d+ steps exceeds bound "):
+                bfan.demazure_roots(A)
         with pytest.raises(StageTooLarge):
-            bfan.demazure_roots(BottMatrix.identity(4), stage_bound=3)
+            bfan.is_reductive(BottMatrix.identity(1200))
+        # a root whose negative is no root ends the streamed search at once
+        assert not bfan.is_reductive(BottMatrix.stage2(bfan.ROOT_SEARCH_BOUND))
 
     def test_hirzebruch_root_count(self):
         # a > 0: besides +-eps_1 the roots are (x, 1) for -a <= x <= 0,
@@ -323,30 +333,49 @@ class TestReductivity:
 
 
 class TestCscObstruction:
+    """The row test, an oracle in conftest, against the streamed root witness."""
+
     def test_examples(self):
-        assert bfan.csc_obstructed(M3(1, 0, 0))[0]
-        assert bfan.csc_obstructed(M3(0, 2, 3))[0]
-        assert not bfan.csc_obstructed(BottMatrix.identity(3))[0]
-        assert not bfan.csc_obstructed(M3(0, 1, -1))[0]
+        assert csc_obstructed(M3(1, 0, 0))[0]
+        assert csc_obstructed(M3(0, 2, 3))[0]
+        assert not csc_obstructed(BottMatrix.identity(3))[0]
+        assert not csc_obstructed(M3(0, 1, -1))[0]
 
     def test_witness(self):
-        obstructed, witness = bfan.csc_obstructed(M3(5, 0, 0))
+        obstructed, witness = csc_obstructed(M3(5, 0, 0))
         assert obstructed and witness == ("row", 1)
+
+    def test_not_reductive_where_no_member_fires(self):
+        # the unipotent root (0, 0, -1, 1) shows up on no row of any member
+        A = BottMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [-1, 2, 1, 0], [-1, 2, 2, 1]])
+        roots = bfan.demazure_roots(A)
+        assert (0, 0, -1, 1) in roots and (0, 0, 1, -1) not in roots
+        assert not bfan.is_reductive(A)
+        reps = equivalence_orbit(A).representatives
+        assert len(reps) == 8
+        assert not any(csc_obstructed(B)[0] for B in reps)
 
     def test_matches_nonreductive_stage3(self):
         for a in range(-3, 4):
             for b in range(-3, 4):
                 for c in range(-3, 4):
                     A = M3(a, b, c)
-                    assert bfan.csc_obstructed(A)[0] == (not bfan.is_reductive(A))
+                    assert csc_obstructed(A)[0] == (not bfan.is_reductive(A))
 
     @given(st.integers(4, 6).flatmap(lambda n: st.tuples(
         st.just(n), st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2)),
                              min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
     @settings(max_examples=80, deadline=None)
     def test_fires_only_when_not_reductive(self, shape):
+        # a fired row of one sign makes +-e_i a root whose negative is not a root
         A = lower_triangular(*shape)
-        if bfan.csc_obstructed(A)[0]:
+        obstructed, witness = csc_obstructed(A)
+        if obstructed:
+            i = witness[1]
+            sign = 1 if all(e >= 0 for e in A.rows[i][:i]) else -1
+            eps = tuple(sign if m == i else 0 for m in range(A.n))
+            roots = bfan.demazure_roots(A)
+            assert eps in roots and tuple(-x for x in eps) not in roots
             assert not bfan.is_reductive(A)
 
     @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
@@ -357,7 +386,7 @@ class TestCscObstruction:
         # csc_obstructed needs no leading-block test: a nontrivial leading
         # block of topological twist zero only occurs where a row fires
         A = lower_triangular(*shape)
-        if bfan.csc_obstructed(A)[0]:
+        if csc_obstructed(A)[0]:
             return
         for m in range(2, A.n + 1):
             block = BottMatrix.from_rows([row[:m] for row in A.rows[:m]])
@@ -367,7 +396,7 @@ class TestCscObstruction:
         A = BottMatrix.from_rows([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                                   [0, -2, 2, 1, 0], [0, 0, 0, -1, 1]])
         reps = equivalence_orbit(A).representatives
-        fired = [B for B in reps if bfan.csc_obstructed(B)[0]]
+        fired = [B for B in reps if csc_obstructed(B)[0]]
         assert (len(reps), len(fired)) == (40, 20)
         assert not any(bfan.is_reductive(B) for B in reps)
 
@@ -438,8 +467,8 @@ class TestOrbitInvariance:
     @example(lower_triangular(5, [0, 0, 0, 0, 0, 0, 1, 0, 0, 0]))
     @example(lower_triangular(4, [0, 1, -1, 0, 0, 0]))
     def test_core_and_fan_answers_constant_on_orbit(self, A):
-        # biholomorphic towers share these answers; csc_obstructed, whose row
-        # test fires on some members of a non-reductive orbit only, stays out
+        # biholomorphic towers share these answers; the row test of conftest's
+        # csc_obstructed fires on some members of a non-reductive orbit only
         def answers(B):
             return (twist(B), cotwist(B), bfan.is_reductive(B), len(bfan.demazure_roots(B)),
                     bfan.is_fano(B), bfan.kahler_einstein_stage34(B),

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import re
 from collections import Counter
@@ -83,6 +84,29 @@ def test_one_setting_per_limit():
         assert not names & {"environ", "getenv"}, path.name
 
 
+def test_bounds_are_not_options():
+    # a bound the code can count is a module constant, not a flag: the stages
+    # of an orbit (core.ORBIT_STAGE_BOUND) and the steps of the root search
+    # (fan.ROOT_SEARCH_BOUND); compat-enumerate alone lists the compatible towers
+    from bott import cli
+
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        params = {arg.arg for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+        assert "stage_bound" not in params, path.name
+        assigned = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert "DEFAULT_STAGE_BOUND" not in assigned, path.name
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name, sub in commands.items():
+        flags = set(sub._option_string_actions)
+        assert not flags & {"--stage-bound", "--enumerate"}, name
+
+
 def test_no_indented_json_dumps():
     # json.dumps with an indent runs the pure-Python encoder; `cli.render_json`
     # prints the same text, and json.dumps(indent=2) is its test oracle
@@ -95,9 +119,10 @@ def test_no_indented_json_dumps():
 
 
 # second implementations that were deleted: the closed forms of the moves,
-# the argparse-only refusal class and the hand-written float encoder
+# the argparse-only refusal class, the hand-written float encoder, and the
+# row test of reductivity (a test oracle now)
 DELETED = {"_fiber_inversion_rows", "_permuted", "ArgumentTooLarge", "_scalar_json",
-           "_float_json", "_FLOAT_SPECIAL"}
+           "_float_json", "_FLOAT_SPECIAL", "csc_obstructed"}
 
 
 def test_one_implementation_per_job():
@@ -140,7 +165,7 @@ LIBRARY_API = {
     # cohomology
     "coefficient", "pontrjagin_class", "is_q_trivial", "square_zero_primitives",
     # fan
-    "ample_cone_is_first_orthant", "csc_obstructed",
+    "ample_cone_is_first_orthant",
     # topology3
     "stage3_diffeomorphic", "twist1_class_count",
     # symplectic

@@ -15,19 +15,19 @@ import sys
 from fractions import Fraction
 
 from bott.admissible import DEFAULT_CSC_TOLERANCE
-from bott.cli import CSC_HEADER, _csv, csc_sweep_rows
+from bott.cli import CSC_HEADER, _csv, _frac, csc_sweep_rows
 from bott.core import StageTooLarge
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", nargs="+", type=int, default=[1, 2, 3, 4])
-    parser.add_argument("--step", type=Fraction, default=Fraction(1, 50))
-    parser.add_argument("--tolerance", type=Fraction, default=DEFAULT_CSC_TOLERANCE)
+    parser.add_argument("--step", type=_frac, default=Fraction(1, 50))
+    parser.add_argument("--tolerance", type=_frac, default=DEFAULT_CSC_TOLERANCE)
     parser.add_argument("--second-only", action="store_true",
                         help="drop the balanced family from the output")
-    args = parser.parse_args()
-    try:
+    try:   # a decimal past the parser's bound is refused as a parse error
+        args = parser.parse_args()
         rows = csc_sweep_rows(args.m, args.step, args.tolerance, args.second_only)
     except (ValueError, StageTooLarge) as exc:
         parser.error(str(exc))

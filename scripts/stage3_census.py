@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from bott.cli import _csv, stage3_rows
+from bott.core import StageTooLarge
 
 HEADER = ("a", "b", "c", "twist", "cotwist", "toptwist", "p1", "q_type", "reductive",
           "fano", "ke", "diffeo_key")
@@ -24,11 +25,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--radius", type=int, default=2)
     args = parser.parse_args()
-    if args.radius < 0:
-        parser.error("--radius must be a nonnegative integer")
-
-    rows = stage3_rows(args.radius, census=True)
-    sys.stdout.write(_csv(HEADER, [[row[key] for key in COLUMNS] for row in rows]))
+    try:
+        rows = [[row[key] for key in COLUMNS] for row in stage3_rows(args.radius, census=True)]
+    except (ValueError, StageTooLarge) as exc:
+        parser.error(str(exc))
+    sys.stdout.write(_csv(HEADER, rows))
 
 
 if __name__ == "__main__":

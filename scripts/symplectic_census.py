@@ -9,21 +9,20 @@ sign-normalized representatives (halved twisting degrees).
 """
 
 import argparse
-from fractions import Fraction
 
 from bott import symplectic as sp
+from bott.cli import _frac
 from bott.core import StageTooLarge
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("k", nargs=3, type=Fraction, help="weights k1 >= k2 >= k3 > 0")
+    parser.add_argument("k", nargs=3, type=_frac, help="weights k1 >= k2 >= k3 > 0")
     parser.add_argument("--full", action="store_true",
                         help="list the doubled matrix parameters instead")
-    args = parser.parse_args()
-
-    k1, k2, k3 = args.k
-    try:
+    try:   # a decimal past the parser's bound is refused as a parse error
+        args = parser.parse_args()
+        k1, k2, k3 = args.k
         n_b0, n_bne0, n_b = sp.count_compatible(k1, k2, k3)
         reps = sp.enumerate_compatible(k1, k2, k3)
     except (ValueError, StageTooLarge) as exc:

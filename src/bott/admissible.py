@@ -342,17 +342,13 @@ def csc_condition_polynomial(m: int, r_plus) -> Poly:
 
 
 def csc_family_solve(m: int, r_plus, tolerance) -> list[Fraction]:
-    """All roots of the CSC obstruction in r_minus over (-1, 0).
+    """All roots of the CSC obstruction in r_minus over (-1, 0), each listed once.
 
-    Roots are isolated by Descartes' rule of signs on the exact integer
-    polynomial and refined by sign bisection to within the tolerance, so
-    double points (family crossings) are found as well.
+    The balanced root -r_plus is exact; the rest are the second family's,
+    so the one root search runs on the deflated obstruction, and the
+    crossing at r_plus = 1/2 is never a double root there.
     """
-    tol = _tolerance(tolerance)
-    g, _ = _csc_obstruction(m, r_plus)
-    if not g:
-        raise ArithmeticError("obstruction vanished identically")
-    return roots_in_interval(g, Fraction(-1), Fraction(0), tol)
+    return sorted({-Fraction(r_plus), *csc_second_family_roots(m, r_plus, tolerance)})
 
 
 def _second_family(m: int, r_plus) -> tuple[IntPoly, int]:

@@ -188,8 +188,7 @@ def _certify_sign(poly: Poly2, depth: int) -> bool:
     return True
 
 
-def check_positivity(data: SquareFiberData, sol: AkSolution,
-                     depth: int = DEFAULT_POSITIVITY_DEPTH) -> bool:
+def check_positivity(data: SquareFiberData, sol: AkSolution) -> bool:
     """Positive definiteness of the solution metric over the open square.
 
     Sylvester's criterion on P: the leading entry 2Q + a11 z1(1-z1) and
@@ -203,7 +202,7 @@ def check_positivity(data: SquareFiberData, sol: AkSolution,
     b1 = 2 * q + sol.a11 * w1
     b2 = 2 * q + sol.a22 * w2
     det_core = b1 * b2 - sol.a12 * sol.a12 * w1 * w2
-    return _certify_sign(b1, depth) and _certify_sign(det_core, depth)
+    return all(_certify_sign(f, DEFAULT_POSITIVITY_DEPTH) for f in (b1, det_core))
 
 
 def default_grid(density: int = 5) -> list[tuple[Fraction, Fraction]]:

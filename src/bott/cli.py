@@ -398,8 +398,6 @@ def _payload_for(args):
         }, None
 
     if cmd == "scan":
-        if args.radius > SCAN_RADIUS_BOUND:
-            raise StageTooLarge(f"radius {args.radius} exceeds bound {SCAN_RADIUS_BOUND}")
         rows = list(stage3_rows(args.radius))
         if not args.csv:
             return rows, None
@@ -414,10 +412,13 @@ def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:
     These are the rows of `bott scan`.  census=True adds the q-trivial
     type ("-" when not rationally trivial), the Kahler-Einstein status and
     the diffeomorphism key, which scripts/stage3_census.py prints as well.
-    A negative radius raises ValueError.
+    A negative radius raises ValueError, and one past SCAN_RADIUS_BOUND
+    StageTooLarge, both at the first row.
     """
     if radius < 0:
         raise ValueError("radius must be a nonnegative integer")
+    if radius > SCAN_RADIUS_BOUND:
+        raise StageTooLarge(f"radius {radius} exceeds bound {SCAN_RADIUS_BOUND}")
     for a, b, c in itertools.product(range(-radius, radius + 1), repeat=3):
         A = BottMatrix.stage3(a, b, c)
         inv = t3.stage3_invariants(a, b, c)

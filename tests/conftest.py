@@ -20,7 +20,8 @@ systems and determinants are eliminated over Fractions, real roots are isolated 
 an integer Sturm chain instead of the library's Descartes' rule of
 signs, the CSC obstruction is evaluated
 from its defining integrals and its polynomial interpolated from those
-values, stage-3 diffeomorphism is decided invariant by invariant
+values, its roots are also searched on the whole obstruction, the
+balanced root -r_plus included, stage-3 diffeomorphism is decided invariant by invariant
 without the canonical key, twist-one diffeomorphism is decided by
 trying every permutation, and a non-reductive tower is recognized by the
 sign pattern of one row.
@@ -34,6 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
+from bott import admissible as adm
 from bott import almostkahler as ak
 from bott import cohomology as coh
 from bott import polynomials as ipoly
@@ -910,6 +912,18 @@ def csc_condition_polynomial_oracle(m: int, r_plus) -> Poly:
 def csc_family_solve_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
     g = csc_condition_polynomial_oracle(m, r_plus)
     return roots_in_interval_oracle(g, Fraction(-1), Fraction(0), tolerance)
+
+
+def csc_full_search_oracle(m: int, r_plus, tolerance) -> list[Fraction]:
+    """The roots of the whole integer obstruction by one Descartes search.
+
+    The balanced root -r_plus is isolated and bisected like the others, and
+    at r_plus = 1/2 the crossing's double root sends the search through the
+    squarefree remainder sequence; csc_family_solve lists -r_plus exactly
+    and searches only the deflated obstruction.
+    """
+    g, _ = adm._csc_obstruction(m, r_plus)
+    return ipoly.roots_in_interval(g, Fraction(-1), Fraction(0), Fraction(tolerance))
 
 
 # -- the admissible layer over Fractions ---------------------------------------

@@ -18,6 +18,7 @@ from conftest import (
     csc_condition_polynomial_oracle,
     csc_condition_raw_oracle,
     csc_family_solve_oracle,
+    csc_full_search_oracle,
     extremal_polynomial_oracle,
     fractions,
     is_positive_on_interval_oracle,
@@ -355,6 +356,41 @@ class TestCscFamilySolve:
             adm.csc_family_sweep(0, Fraction(1, 4), TOL)
         with pytest.raises(ValueError):
             adm.csc_family_sweep(2, Fraction(1, 4), 0)
+
+    @pytest.mark.parametrize("m", range(1, adm.MAX_CSC_M + 1))
+    def test_matches_full_search(self, m):
+        # the full search isolates -r_plus (and the crossing's double root)
+        # like any other root; 13 seeded 12-bit r_plus per m, 208 in all
+        coarse = Fraction(1, 100)
+        for rp in SMALL_RPLUS:
+            for tol in (TOL, coarse):
+                assert adm.csc_family_solve(m, rp, tol) == csc_full_search_oracle(m, rp, tol)
+        rng = random.Random(m)
+        for q in [rng.randint(2, 4095) for _ in range(13)]:
+            rp = Fraction(rng.randint(1, q - 1), q)
+            assert adm.csc_family_solve(m, rp, TOL) == csc_full_search_oracle(m, rp, TOL)
+            # bisected to 1/100, the search's -r_plus is a dyadic point near it
+            roots, full = (solve(m, rp, coarse) for solve in (adm.csc_family_solve,
+                                                             csc_full_search_oracle))
+            assert -rp in roots and len(roots) == len(full)
+            assert all(abs(r - f) <= coarse for r, f in zip(roots, full))
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_matches_sturm_oracle(self, m):
+        # the Fraction Sturm chains take seconds per m past m = 4
+        for rp in SMALL_RPLUS:
+            assert adm.csc_family_solve(m, rp, TOL) == csc_family_solve_oracle(m, rp, TOL)
+
+    @pytest.mark.parametrize("m", range(1, adm.MAX_CSC_M + 1))
+    def test_balanced_root_is_exact(self, m):
+        for rp in SMALL_RPLUS:
+            for tol in (1, Fraction(1, 10)):
+                assert -rp in adm.csc_family_solve(m, rp, tol)
+        # the families cross at r_plus = 1/2: the root is in both, listed once
+        half = Fraction(1, 2)
+        assert -half in adm.csc_second_family_roots(m, half, TOL)
+        roots = adm.csc_family_solve(m, half, TOL)
+        assert roots.count(-half) == 1 and roots == sorted(set(roots))
 
     def test_roots_within_tolerance(self):
         tol = Fraction(1, 10 ** 9)

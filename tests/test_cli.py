@@ -208,12 +208,18 @@ class TestAdmissibleCommands:
         assert result.payload["error"] == "invalid_input"
 
     def test_explicit_tolerance_used(self):
+        # the searched second-family root moves with the tolerance; the
+        # balanced root -r_plus is exact at every tolerance
         coarse = run(["csc-family", "--m", "2", "--rplus", "4/5", "--tolerance", "1/4"])
         fine = run(["csc-family", "--m", "2", "--rplus", "4/5"])
-        pairs = list(zip(coarse.payload["roots"], fine.payload["roots"]))
-        assert len(pairs) == 2
-        assert all(c != f and abs(Fraction(c) - Fraction(f)) <= Fraction(1, 4)
-                   for c, f in pairs)
+        assert len(coarse.payload["roots"]) == len(fine.payload["roots"]) == 2
+        (c,), (f,) = ([r for r in result.payload["roots"] if r != "-4/5"]
+                      for result in (coarse, fine))
+        assert c != f and abs(Fraction(c) - Fraction(f)) <= Fraction(1, 4)
+
+    def test_coarse_tolerance_keeps_balanced_root_exact(self):
+        result = run(["csc-family", "--m", "1", "--rplus", "1/10", "--tolerance", "1"])
+        assert result.payload["roots"] == ["-1/2", "-1/10"]
 
     def test_cproj(self):
         result = run(["cproj", "--data", KS_DATA, "--alpha=-5/19"])
@@ -359,6 +365,14 @@ class TestScan:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert main(["scan", "--radius", "60"]) == 1
         assert json.loads(err.getvalue())["error"] == "stage_too_large"
+
+    def test_census_script_radius_bound(self, monkeypatch, capsys):
+        # the bound is checked in stage3_rows, which the script prints
+        assert run(["scan", "--radius", "8"]).payload["message"] == "radius 8 exceeds bound 7"
+        with pytest.raises(SystemExit) as exc:
+            run_script(monkeypatch, "stage3_census.py", "--radius", "8")
+        assert exc.value.code == 2
+        assert "error: radius 8 exceeds bound 7" in capsys.readouterr().err
 
     def test_census_script_shares_scan_rows(self, monkeypatch, capsys):
         run_script(monkeypatch, "stage3_census.py", "--radius", "1")
@@ -522,6 +536,19 @@ class TestErrors:
         result = run(argv)
         assert time.perf_counter() - start < 1
         assert (result.exit_code, result.payload["error"]) == (1, "stage_too_large")
+
+    # the scripts read rationals with the same parser, and refuse with a parse error
+    @pytest.mark.parametrize("script, argv", [
+        ("csc_family_sweep.py", ["--m", "1", "--step", "1e-20000000"]),
+        ("symplectic_census.py", ["1e1000000", "1", "1"]),
+    ])
+    def test_scripts_refuse_huge_exponents_at_once(self, monkeypatch, capsys, script, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run_script(monkeypatch, script, *argv)
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert "exceeds bound of 256 bits" in capsys.readouterr().err
 
     def test_malformed_rationals_still_parse_errors(self):
         for text in ("1e", "1__0", "1/2/3"):

@@ -49,6 +49,37 @@ def test_one_integer_root_path():
     assert callers == {"_prem": {"_divide_out_gcd"}}
 
 
+def test_one_root_search_per_csc_solve():
+    # csc_family_solve lists the balanced root -r_plus exactly, so the one
+    # search of a CSC solve runs on the deflated obstruction; the search on
+    # the whole obstruction is a test oracle
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and "roots_in_interval" in (getattr(node.func, "id", None),
+                                                getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.add(fn.name)
+    assert callers == {"csc_second_family_roots"}
+
+
+def test_scripts_parse_rationals_as_the_cli_does():
+    # type=Fraction expands a decimal exponent before any bound is checked;
+    # cli._frac goes through admissible.parse_rational, which refuses it first
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "add_argument"
+                 and any(kw.arg == "type" and getattr(kw.value, "id", None) == "Fraction"
+                         for kw in node.keywords)]
+        assert not lines, f"{path.name}: type=Fraction at line(s) {lines}"
+
+
 def test_products_go_through_one_sweep():
     # every product is CohomologyClass.__mul__ -> _product -> _times_xs; the
     # per-ring memo of x_j m and its recursive expansion are gone

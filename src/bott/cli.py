@@ -250,6 +250,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, without the top level's pass when it can.
+
+    A command line that starts with a command name goes straight to that
+    command's parser, which fills the same namespace but `command`.  The
+    full parser takes every other command line, and one that leaves
+    arguments over, so its error text is the one printed.
+    """
+    parser = _parser()
+    if argv:
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        sub = commands.get(argv[0])
+        if sub is not None:
+            args, extras = sub.parse_known_args(argv[1:])
+            if not extras:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def _payload_for(args):
     """(payload, table) for one parsed command line.
 
@@ -454,7 +475,7 @@ def csc_sweep_rows(ms: Sequence[int], step, tolerance,
 
 def run(argv: Optional[Sequence[str]] = None) -> CommandResult:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         payload, table = _payload_for(args)
     except tuple(DOMAIN_ERRORS) as exc:
         code = DOMAIN_ERRORS[type(exc)]

@@ -26,6 +26,11 @@ when sigma lists s before t whenever W_F[s][t] != 0: sigma is a linear
 extension of that DAG.  The orbit is thus enumerated per distinct W_F by
 listing the linear extensions of its DAG.
 
+Row s of W_F reads only the flips of stages >= s, so with F a bitmask
+(bit s set when stage s is flipped) it depends on F >> s alone.  All 2^n
+W_F are assembled from the top stage down out of 2^(n+1) - 2 row solves,
+one per stage s and suffix F >> s, not n 2^n.
+
 The generator moves act on these pairs directly.  Inverting the fiber
 of stage k of the image of (F, sigma) gives the image of
 (F xor {sigma[k]}, sigma), and conjugating it by the transposition of
@@ -38,10 +43,11 @@ All indices in this module are 0-based.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-ORBIT_STAGE_BOUND = 8   # `orbit` lists the n! stage orders of the identity: 0.2 s at n = 8
+ORBIT_STAGE_BOUND = 8   # `orbit` lists the n! stage orders of the identity: 0.1 s at n = 8
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -73,7 +79,7 @@ class BottMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            if not all(type(e) is int for e in row):
+            if set(map(type, row)) != {int}:
                 raise ValueError("entries must be integers")
             if row[i] != 1:
                 raise ValueError("diagonal entries must equal 1")
@@ -167,8 +173,7 @@ class EquivalenceMove:
     permutation: Optional[tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class OrbitEdge:
+class OrbitEdge(NamedTuple):
     source: int
     target: int
     move: EquivalenceMove
@@ -191,36 +196,67 @@ def cotwist(A: BottMatrix) -> int:
     return sum(1 for j in range(A.n) if any(A.rows[i][j] for i in range(j + 1, A.n)))
 
 
-def _flip_solve(rows: Rows, flipped: Sequence[bool]) -> Rows:
-    """W_F for the flipped source stages F = {s : flipped[s]}.
+def _flip_row(rows: Rows, s: int, flips: int) -> tuple[int, ...]:
+    """Row s of W_F for the flip set F with bitmask flips.
 
-    Row s is v_F(s), the forward-substitution solve of column s of
-    A P - Q (A[:,s], or -e_s when s is flipped) against the reordered
-    P - A Q.  Entries before s vanish and entry s is 1.
+    It is v_F(s), the forward-substitution solve of column s of A P - Q
+    (A[:,s], or -e_s when s is flipped) against the reordered P - A Q.
+    Only the flips of stages >= s are read.  Entries before s vanish and
+    entry s is 1.
     """
     n = len(rows)
-    W = []
-    for s in range(n):
-        y = [0] * n
-        for i in range(s, n):
-            acc = -(i == s) if flipped[s] else rows[i][s]
-            for k in range(s, i):
-                if flipped[k] and y[k]:
-                    acc += rows[i][k] * y[k]
-            y[i] = -acc if flipped[i] else acc
-        W.append(tuple(y))
-    return tuple(W)
+    y = [0] * n
+    flipped = flips >> s & 1
+    pivots: list[int] = []   # the flipped stages k < i with y[k] != 0
+    for i in range(s, n):
+        row = rows[i]
+        acc = -(i == s) if flipped else row[s]
+        for k in pivots:
+            acc += row[k] * y[k]
+        if flips >> i & 1:
+            acc = -acc
+            if acc:
+                pivots.append(i)
+        y[i] = acc
+    return tuple(y)
 
 
 def _flip_classes(A: BottMatrix) -> tuple[list[int], dict[Rows, int]]:
     """W_F for every flip set F, as a bitmask with bit s set when stage s
     is flipped: for each F the first flip set with the same W_F, and that
-    first flip set of each distinct W_F."""
+    first flip set of each distinct W_F.
+
+    suffixes[G] holds rows s..n-1 of W_F for every F with F >> s == G;
+    row s is solved once per G and shared by the 2^s flip sets below it.
+    """
     n = A.n
+    suffixes: list[Rows] = [()]
+    for s in range(n - 1, -1, -1):
+        suffixes = [(_flip_row(A.rows, s, G << s),) + suffixes[G >> 1]
+                    for G in range(1 << (n - s))]
     first: dict[Rows, int] = {}
-    canonical = [first.setdefault(_flip_solve(A.rows, [F >> s & 1 for s in range(n)]), F)
-                 for F in range(1 << n)]
+    canonical = [first.setdefault(W, F) for F, W in enumerate(suffixes)]
     return canonical, first
+
+
+@functools.cache
+def _move_tables(n: int):
+    """Per-n tables of the orbit: the row tails and place values of
+    _linear_extension_images, and the generator moves of equivalence_orbit.
+
+    tails[j] is row j of an image from the diagonal on, and powers[j] is
+    n^j, the place value of sigma[j] in a code.  swaps has one entry
+    (a, b, shift, inverted, move) per transposition of positions a < b:
+    swapping them in sigma adds (sigma[b] - sigma[a]) shift to its code,
+    and it applies to a member that vanishes at the inverted pairs.
+    """
+    tails = [(1,) + (0,) * (n - j - 1) for j in range(n)]
+    powers = [n ** j for j in range(n)]
+    inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
+    swaps = [(a, b, powers[a] - powers[b], _inversions(sigma),
+              EquivalenceMove("permutation_conjugation", permutation=sigma))
+             for a in range(n) for b in range(a + 1, n) for sigma in [transposition(n, a, b)]]
+    return tails, powers, inversions, swaps
 
 
 def _linear_extension_images(W: Rows) -> Iterator[tuple[int, Rows]]:
@@ -228,7 +264,12 @@ def _linear_extension_images(W: Rows) -> Iterator[tuple[int, Rows]]:
 
     The image is W[sigma[l]][sigma[j]] and the code is
     sum_j sigma[j] n^j.  Row j of an image only reads the stages placed
-    before it, so rows are built as sigma grows.
+    before it, so rows are built as sigma grows.  Each stack entry is a
+    prefix of sigma: (placed stages, code, prefix, its image rows).
+    Children are pushed in descending stage order, so extensions come
+    out in lexicographic order of sigma.  A prefix of n - 1 stages has
+    one child, the stage not yet placed, and its extension is yielded
+    at once.
     """
     n = len(W)
     before = [0] * n          # bitmask of the stages that must precede t
@@ -236,28 +277,22 @@ def _linear_extension_images(W: Rows) -> Iterator[tuple[int, Rows]]:
         for t in range(s + 1, n):
             if W[s][t]:
                 before[t] |= 1 << s
-    tails = [(1,) + (0,) * (n - j - 1) for j in range(n)]
-    powers = [n ** j for j in range(n)]
+    tails, powers = _move_tables(n)[:2]
+    stages = range(n - 1, -1, -1)
     full = (1 << n) - 1
-    order: list[int] = []
-    rows: list[tuple[int, ...]] = []
-
-    def extend(placed: int, code: int) -> Iterator[tuple[int, Rows]]:
-        if placed == full:
-            yield code, tuple(rows)
-            return
+    stack = [(0, 0, (), ())]
+    while stack:
+        placed, code, order, rows = stack.pop()
         j = len(order)
-        tail = tails[j]
-        for t in range(n):
-            bit = 1 << t
-            if not placed & bit and not before[t] & ~placed:
-                rows.append(tuple([W[s][t] for s in order]) + tail)
-                order.append(t)
-                yield from extend(placed | bit, code + t * powers[j])
-                order.pop()
-                rows.pop()
-
-    return extend(0, 0)
+        if j == n - 1:
+            t = (full ^ placed).bit_length() - 1
+            yield code + t * powers[j], rows + (tuple([W[s][t] for s in order]) + (1,),)
+            continue
+        tail, power = tails[j], powers[j]
+        for t in stages:
+            if not placed >> t & 1 and not before[t] & ~placed:
+                stack.append((placed | 1 << t, code + t * power, order + (t,),
+                              rows + (tuple([W[s][t] for s in order]) + tail,)))
 
 
 def _orbit_images(A: BottMatrix) -> Iterator[Rows]:
@@ -279,10 +314,8 @@ def apply_signed_permutation(A: BottMatrix, sigma: Sequence[int],
     triangular (its diagonal is 1 by construction).
     """
     n = A.n
-    flipped = [False] * n
-    for j in range(n):
-        flipped[sigma[j]] = bool(flips[j])
-    W = _flip_solve(A.rows, flipped)
+    F = sum(1 << sigma[j] for j in range(n) if flips[j])
+    W = [_flip_row(A.rows, s, F) for s in range(n)]
     if any(W[sigma[l]][sigma[j]] for j in range(n) for l in range(j + 1, n)):
         return None
     return BottMatrix(tuple(tuple(W[sl][sj] for sl in sigma) for sj in sigma))
@@ -361,12 +394,7 @@ def equivalence_orbit(A: BottMatrix) -> OrbitReport:
     rank = [0] * len(members)
     for i, rows in enumerate(members):
         rank[found[rows]] = i
-    powers = [n ** j for j in range(n)]
-    inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
-    # swapping positions a and b of sigma adds (sigma[b] - sigma[a]) (n^a - n^b) to its code
-    swaps = [(a, b, powers[a] - powers[b], _inversions(sigma),
-              EquivalenceMove("permutation_conjugation", permutation=sigma))
-             for a in range(n) for b in range(a + 1, n) for sigma in [transposition(n, a, b)]]
+    _, powers, inversions, swaps = _move_tables(n)
     edges = []
     for i, rows in enumerate(members):
         key = source[found[rows]]

@@ -127,7 +127,10 @@ class DemazureRootSet:
         return len(self.roots)
 
     def is_symmetric(self) -> bool:
-        return self.roots == frozenset(tuple(-c for c in chi) for chi in self.roots)
+        """Whether the negative of every root is a root, read up to the first
+        one that is not; the set is finite, so then it equals its negation."""
+        roots = self.roots
+        return all(tuple([-c for c in chi]) in roots for chi in roots)
 
     def __contains__(self, chi) -> bool:
         return tuple(chi) in self.roots

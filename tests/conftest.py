@@ -6,7 +6,8 @@ decided by convexity on the primitive collections, Demazure roots
 are read off the vertices of each ray's root polytope, orbits are closed
 by breadth-first search over the generator moves or found by trying all
 2^n * n! signed permutations, orbit edges are applied afresh from every
-member, fiber inversions are checked against their closed form, cohomology products rewrite exponent vectors with x_k^2 ->
+member, each W_F is solved row by row for its own flip set and the linear
+extensions of its DAG are filtered out of all n! stage orders, fiber inversions are checked against their closed form, cohomology products rewrite exponent vectors with x_k^2 ->
 -alpha_k x_k, the square-fiber linear system is re-derived from the extremal
 equation itself, integrability is sampled on a grid of rational points,
 positivity is certified on Fraction boxes with Fraction interval bounds
@@ -473,6 +474,40 @@ def full_scan_orbit(A: BottMatrix, apply=apply_signed_permutation) -> set[BottMa
     """
     images = (apply(A, sigma, flips) for sigma, flips in signed_permutations(A.n))
     return {B for B in images if B is not None}
+
+
+def flip_solve_oracle(rows, flipped: Sequence[bool]) -> tuple[tuple[int, ...], ...]:
+    """W_F for the flipped source stages F = {s : flipped[s]}, every row
+    solved for this F alone.
+
+    Row s is v_F(s), the forward-substitution solve of column s of
+    A P - Q (A[:,s], or -e_s when s is flipped) against the reordered
+    P - A Q.  Entries before s vanish and entry s is 1.
+    """
+    n = len(rows)
+    W = []
+    for s in range(n):
+        y = [0] * n
+        for i in range(s, n):
+            acc = -(i == s) if flipped[s] else rows[i][s]
+            for k in range(s, i):
+                if flipped[k] and y[k]:
+                    acc += rows[i][k] * y[k]
+            y[i] = -acc if flipped[i] else acc
+        W.append(tuple(y))
+    return tuple(W)
+
+
+def linear_extension_images_oracle(W) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(code, image) for every stage order sigma that keeps W[sigma[l]][sigma[j]]
+    lower triangular, found by trying all n! orders; code = sum_j sigma[j] n^j."""
+    n = len(W)
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        image = tuple(tuple(W[sl][sj] for sl in sigma) for sj in sigma)
+        if not any(image[j][l] for j in range(n) for l in range(j + 1, n)):
+            out.append((sum(t * n ** j for j, t in enumerate(sigma)), image))
+    return out
 
 
 def fiber_inversion_oracle(A: BottMatrix, k: int) -> BottMatrix:

@@ -1116,3 +1116,49 @@ class TestParserReuse:
         assert reused[7].text.startswith("m,r_plus,r_minus\n")
         assert reused[9].text == json.dumps(reused[9].payload, indent=2)
         assert reused[2].payload["basis"] == "uvu" and reused[4].payload["basis"] == "uuu"
+
+
+class TestParsePath:
+    """`run` hands a command line that starts with a command name to that
+    command's own parser; the namespace it gets, and every parse error
+    `main` prints, are those of the full parser."""
+
+    @staticmethod
+    def parsed(parse, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                return parse(argv), ""
+            except SystemExit as exc:
+                return ("exit", exc.code), err.getvalue()
+
+    @pytest.mark.parametrize("argv", TestRendering.JSON_COMMANDS + TestParserReuse.SEQUENCE,
+                             ids=lambda argv: " ".join(argv[:3]))
+    def test_run_parses_as_the_full_parser(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "_payload_for", lambda args: seen.append(args) or (0, None))
+
+        def through_run(argv):
+            run(argv)
+            return seen.pop()
+
+        expected = self.parsed(cli._parser().parse_args, argv)
+        assert self.parsed(through_run, argv) == expected
+        assert expected[0] == ("exit", 2) or expected[0].command == argv[0]
+
+    @pytest.mark.parametrize("argv, last_line", [
+        ([], "bott: error: the following arguments are required: command"),
+        (["nosuch"], "bott: error: argument command: invalid choice: 'nosuch'"),
+        (["twist", "--stage3", "1", "2", "3", "--bogus"],
+         "bott: error: unrecognized arguments: --bogus"),
+        (["classify3", "1", "2"], "bott classify3: error: the following arguments are required: c"),
+        (["classify3", "-1", "2", "3", "4"], "bott: error: unrecognized arguments: 4"),
+    ], ids=["no-argv", "unknown-command", "unknown-flag", "missing-positional", "leftover"])
+    def test_parse_errors_keep_their_text(self, monkeypatch, argv, last_line):
+        # leftover arguments are reported by the top-level parser, as `bott`,
+        # not by the command's parser
+        code, out, err = TestRendering.printed(argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(last_line)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        assert TestRendering.printed(argv) == (code, out, err)

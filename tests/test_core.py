@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 
+from bott import core
 from bott.core import (
     ORBIT_STAGE_BOUND,
     BottMatrix,
@@ -23,7 +26,9 @@ from conftest import (
     apply_signed_permutation_generic,
     bott_matrices,
     fiber_inversion_oracle,
+    flip_solve_oracle,
     full_scan_orbit,
+    linear_extension_images_oracle,
     lower_triangular,
     normalize_twist_oracle,
     orbit_closure_oracle,
@@ -193,6 +198,55 @@ class TestSignedPermutations:
         assert apply_signed_permutation(A, (0, 1, 2), (0, 0, 0)) == A
 
 
+def seeded_towers(n, seed):
+    """A dense and a sparse seeded tower of stage n."""
+    rng = random.Random(seed)
+    size = n * (n - 1) // 2
+    dense = lower_triangular(n, [rng.randint(-2, 2) for _ in range(size)])
+    sparse = lower_triangular(n, [rng.choice((-2, -1, 1, 3)) if rng.random() < 0.25 else 0
+                                  for _ in range(size)])
+    return dense, sparse
+
+
+class TestOrbitKernels:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_flip_classes_match_per_flip_set_solve(self, n):
+        for A in seeded_towers(n, 100 + n):
+            canonical, first = core._flip_classes(A)
+            W_of = {F: W for W, F in first.items()}
+            assert len(canonical) == 1 << n
+            seen = {}
+            for F in range(1 << n):
+                W = flip_solve_oracle(A.rows, [F >> s & 1 for s in range(n)])
+                assert W_of[canonical[F]] == W
+                assert canonical[F] == seen.setdefault(W, F)
+            assert first == seen
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_row_solve_per_suffix(self, n, monkeypatch):
+        calls = []
+        solve = core._flip_row
+        monkeypatch.setattr(core, "_flip_row", lambda *a: calls.append(a[1]) or solve(*a))
+        core._flip_classes(seeded_towers(n, 200 + n)[0])
+        assert len(calls) == 2 ** (n + 1) - 2
+        assert Counter(calls) == {s: 2 ** (n - s) for s in range(n)}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_walk_matches_permutation_filter(self, n):
+        for A in seeded_towers(n, 300 + n):
+            for W in core._flip_classes(A)[1]:
+                assert Counter(core._linear_extension_images(W)) == \
+                    Counter(linear_extension_images_oracle(W))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_walks_every_order(self, n):
+        W = BottMatrix.identity(n).rows
+        codes = [code for code, rows in core._linear_extension_images(W)]
+        assert len(set(codes)) == len(codes) == math.factorial(n)
+        assert Counter(core._linear_extension_images(W)) == \
+            Counter(linear_extension_images_oracle(W))
+
+
 class TestOrbits:
     def test_single_nonzero_entry_moves(self):
         reps = {m.stage3_params() for m in equivalence_orbit(M3(2, 0, 0)).representatives}
@@ -294,6 +348,8 @@ class TestOrbits:
     @example(lower_triangular(6, [0, -2, 0, -2, -2, 0, -1, -1, -1, 1, 0, -2, 0, 0, 0]))
     @example(lower_triangular(6, [-2, 1, -1, 2, -1, 0, 1, 1, 2, -2, -2, -2, -2, -2, -1]))
     @example(lower_triangular(6, [0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0, 0]))
+    @example(lower_triangular(7, [0, 0, 0, 0, 0, 0, 0, -1, 2, -1, 0,
+                                  0, -2, 0, 0, 0, 0, 0, 0, 0, 0]))
     @settings(max_examples=30, deadline=None)
     def test_edges_are_the_generator_moves(self, A):
         # members, order and every edge, against edges applied from each source

@@ -235,6 +235,23 @@ class TestDemazureRoots:
         roots = bfan.demazure_roots(BottMatrix.identity(3))
         assert len(roots) == 6 and roots.is_symmetric()
 
+    def test_symmetry_matches_negated_set(self):
+        # is_symmetric tests each negative for membership and stops at the
+        # first one missing; the oracle builds the whole negated set
+        rng = random.Random(44)
+        towers = [M3(a, b, c) for a in range(-1, 2) for b in range(-2, 3) for c in range(-2, 3)]
+        for _ in range(30):
+            n = rng.randint(4, 6)
+            towers.append(lower_triangular(n, [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.2
+                                               else 0 for _ in range(n * (n - 1) // 2)]))
+        outcomes = set()
+        for A in towers:
+            roots = bfan.demazure_roots(A)
+            symmetric = roots.roots == frozenset(tuple(-c for c in chi) for chi in roots.roots)
+            assert roots.is_symmetric() == symmetric == bfan.is_reductive(A)
+            outcomes.add((A.n > 3, symmetric))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_search_bound(self):
         # the search counts one step per level visited and n per root, so the
         # stage alone bounds nothing: the identity of stage n takes about 3n^2

@@ -150,10 +150,11 @@ def test_no_indented_json_dumps():
 
 
 # second implementations that were deleted: the closed forms of the moves,
-# the argparse-only refusal class, the hand-written float encoder, and the
-# row test of reductivity (a test oracle now)
+# the argparse-only refusal class, the hand-written float encoder, the
+# row test of reductivity and the per-flip-set solve of W_F (test oracles
+# now; W_F is solved row by row by core._flip_row)
 DELETED = {"_fiber_inversion_rows", "_permuted", "ArgumentTooLarge", "_scalar_json",
-           "_float_json", "_FLOAT_SPECIAL", "csc_obstructed"}
+           "_float_json", "_FLOAT_SPECIAL", "csc_obstructed", "_flip_solve"}
 
 
 def test_one_implementation_per_job():

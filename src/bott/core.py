@@ -26,10 +26,12 @@ when sigma lists s before t whenever W_F[s][t] != 0: sigma is a linear
 extension of that DAG.  The orbit is thus enumerated per distinct W_F by
 listing the linear extensions of its DAG.
 
-Row s of W_F reads only the flips of stages >= s, so with F a bitmask
-(bit s set when stage s is flipped) it depends on F >> s alone.  All 2^n
-W_F are assembled from the top stage down out of 2^(n+1) - 2 row solves,
-one per stage s and suffix F >> s, not n 2^n.
+Row s of W_F reads only the flips of stages > s: flipped or not, stage s
+ends as a pivot with entry 1.  So with F a bitmask (bit s set when stage
+s is flipped) row s depends on F >> (s + 1) alone, W_F on F >> 1 (the
+inversion of the base fiber is always an automorphism), and all 2^n W_F
+are assembled from the top stage down out of 2^n - 1 row solves, one per
+stage s and suffix F >> (s + 1), not n 2^n.
 
 The generator moves act on these pairs directly.  Inverting the fiber
 of stage k of the image of (F, sigma) gives the image of
@@ -149,12 +151,15 @@ class BottMatrix:
     def from_json(cls, obj: dict) -> "BottMatrix":
         if not isinstance(obj, dict):
             raise ValueError("matrix JSON must be an object")
+        if "stage3" in obj and "rows" in obj:
+            raise ValueError("provide exactly one of stage3 or rows")
         if "stage3" in obj:
             params = obj["stage3"]
             if not isinstance(params, list) or len(params) != 3:
                 raise ValueError("stage3 needs three integers")
-            return cls.stage3(*params)
-        matrix = cls.from_rows(obj["rows"])
+            matrix = cls.stage3(*params)
+        else:
+            matrix = cls.from_rows(obj["rows"])
         if "n" in obj and (type(obj["n"]) is not int or obj["n"] != matrix.n):
             raise ValueError("n does not match number of rows")
         return matrix
@@ -201,16 +206,17 @@ def _flip_row(rows: Rows, s: int, flips: int) -> tuple[int, ...]:
 
     It is v_F(s), the forward-substitution solve of column s of A P - Q
     (A[:,s], or -e_s when s is flipped) against the reordered P - A Q.
-    Only the flips of stages >= s are read.  Entries before s vanish and
-    entry s is 1.
+    Entries before s vanish and entry s is 1, and either way stage s acts
+    as a pivot that adds A[i][s] to entry i, so only the flips of stages
+    > s are read.
     """
     n = len(rows)
     y = [0] * n
-    flipped = flips >> s & 1
-    pivots: list[int] = []   # the flipped stages k < i with y[k] != 0
-    for i in range(s, n):
+    y[s] = 1
+    pivots = [s]   # s and the flipped stages k < i with y[k] != 0
+    for i in range(s + 1, n):
         row = rows[i]
-        acc = -(i == s) if flipped else row[s]
+        acc = 0
         for k in pivots:
             acc += row[k] * y[k]
         if flips >> i & 1:
@@ -226,17 +232,17 @@ def _flip_classes(A: BottMatrix) -> tuple[list[int], dict[Rows, int]]:
     is flipped: for each F the first flip set with the same W_F, and that
     first flip set of each distinct W_F.
 
-    suffixes[G] holds rows s..n-1 of W_F for every F with F >> s == G;
-    row s is solved once per G and shared by the 2^s flip sets below it.
+    suffixes[G] holds rows s..n-1 of W_F for every F with F >> (s + 1) == G;
+    row s is solved once per G and shared by the 2^(s+1) flip sets below it.
     """
     n = A.n
     suffixes: list[Rows] = [()]
     for s in range(n - 1, -1, -1):
-        suffixes = [(_flip_row(A.rows, s, G << s),) + suffixes[G >> 1]
-                    for G in range(1 << (n - s))]
+        suffixes = [(_flip_row(A.rows, s, G << (s + 1)),) + suffixes[G >> 1]
+                    for G in range(1 << (n - 1 - s))]
     first: dict[Rows, int] = {}
-    canonical = [first.setdefault(W, F) for F, W in enumerate(suffixes)]
-    return canonical, first
+    classes = [first.setdefault(W, G << 1) for G, W in enumerate(suffixes)]
+    return [classes[F >> 1] for F in range(1 << n)], first
 
 
 @functools.cache
@@ -246,16 +252,15 @@ def _move_tables(n: int):
 
     tails[j] is row j of an image from the diagonal on, and powers[j] is
     n^j, the place value of sigma[j] in a code.  swaps has one entry
-    (a, b, shift, inverted, move) per transposition of positions a < b:
-    swapping them in sigma adds (sigma[b] - sigma[a]) shift to its code,
-    and it applies to a member that vanishes at the inverted pairs.
+    (a, b, shift, move) per transposition of positions a < b: swapping
+    them in sigma adds (sigma[b] - sigma[a]) shift to its code.
     """
     tails = [(1,) + (0,) * (n - j - 1) for j in range(n)]
     powers = [n ** j for j in range(n)]
     inversions = [EquivalenceMove("fiber_inversion", index=k) for k in range(n)]
-    swaps = [(a, b, powers[a] - powers[b], _inversions(sigma),
-              EquivalenceMove("permutation_conjugation", permutation=sigma))
-             for a in range(n) for b in range(a + 1, n) for sigma in [transposition(n, a, b)]]
+    swaps = [(a, b, powers[a] - powers[b],
+              EquivalenceMove("permutation_conjugation", permutation=transposition(n, a, b)))
+             for a in range(n) for b in range(a + 1, n)]
     return tails, powers, inversions, swaps
 
 
@@ -335,19 +340,6 @@ def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _support(rows: Rows) -> int:
-    """Bitmask of the nonzero entries A[p][q], q < p, at bit p * n + q."""
-    n = len(rows)
-    return sum(1 << (p * n + q) for p in range(n) for q in range(p) if rows[p][q])
-
-
-def _inversions(sigma: Sequence[int]) -> int:
-    """Bitmask of the pairs q < p that sigma lists p first, at bit p * n + q."""
-    n = len(sigma)
-    return sum(1 << (sigma[j] * n + sigma[l])
-               for j in range(n) for l in range(j + 1, n) if sigma[j] > sigma[l])
-
-
 def permutation_conjugate(A: BottMatrix, sigma: Sequence[int]) -> Optional[BottMatrix]:
     """P^(-1) A P when lower triangular, else None: the pair (sigma, no flips).
 
@@ -379,7 +371,8 @@ def equivalence_orbit(A: BottMatrix) -> OrbitReport:
     # found numbers the distinct images in the order they appear; member_at
     # maps the key F n^n + code(sigma) of every pair (one F per W_F) to the
     # number of its image, and source keeps the first key of each number.
-    # member_at has one entry per pair, up to 2^n n! (n! for the identity).
+    # member_at has one entry per pair, up to 2^n n! (n! for the identity),
+    # so a transposition applies exactly when the key it moves to is there.
     width = n ** n
     found: dict[Rows, int] = {}
     member_at: dict[int, int] = {}
@@ -403,11 +396,10 @@ def equivalence_orbit(A: BottMatrix) -> OrbitReport:
         for k, move in enumerate(inversions):
             target = canonical[F ^ 1 << sigma[k]] * width + code
             edges.append(OrbitEdge(i, rank[member_at[target]], move))
-        support = _support(rows)
-        for a, b, shift, inverted, move in swaps:
-            if not support & inverted:
-                target = key + (sigma[b] - sigma[a]) * shift
-                edges.append(OrbitEdge(i, rank[member_at[target]], move))
+        for a, b, shift, move in swaps:
+            j = member_at.get(key + (sigma[b] - sigma[a]) * shift)
+            if j is not None:
+                edges.append(OrbitEdge(i, rank[j], move))
     reps = tuple(map(BottMatrix, members))
     return OrbitReport(reps, reps[0], tuple(edges))
 

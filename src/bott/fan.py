@@ -207,10 +207,11 @@ def is_reductive(A: BottMatrix) -> bool:
     return True
 
 
-_KE_STAGE3 = (BottMatrix.identity(3), BottMatrix.stage3(0, 1, -1))
+# canonical forms of the classified Kahler-Einstein towers
+_KE_STAGE3 = (BottMatrix.identity(3), BottMatrix.stage3(0, -1, 1))
 _KE_STAGE4 = (
     BottMatrix.identity(4),
-    BottMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [1, -1, 1, 0], [0, 0, 0, 1]]),
+    BottMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [-1, 1, 1, 0], [0, 0, 0, 1]]),
 )
 
 
@@ -227,7 +228,4 @@ def kahler_einstein_stage34(A: BottMatrix) -> str:
         candidates = _KE_STAGE4
     else:
         return "Unknown"
-    mine = canonical_form(A)
-    if any(mine == canonical_form(C) for C in candidates):
-        return "KE"
-    return "NotKE"
+    return "KE" if canonical_form(A) in candidates else "NotKE"

@@ -79,6 +79,7 @@ class TestValidation:
     @pytest.mark.parametrize("obj", [
         {"rows": 5}, {"rows": [1, 2]}, {"stage3": 5}, {"stage3": [1, 2]},
         {"n": True, "rows": [[1]]}, {"n": "1", "rows": [[1]]}, [[1]],
+        {"stage3": [1, 2, 3], "n": 5}, {"stage3": [1, 2, 3], "rows": [[1]]},
     ])
     def test_rejects_malformed_json(self, obj):
         with pytest.raises(ValueError):
@@ -117,6 +118,9 @@ class TestFiberInversion:
     @given(bott_matrices(max_stage=4))
     @settings(max_examples=60, deadline=None)
     def test_involution(self, A):
+        # row s of W_F never reads the flip of stage s, so the base fiber
+        # inversion is the identity
+        assert fiber_inversion(A, 0) == A
         for k in range(A.n):
             assert fiber_inversion(fiber_inversion(A, k), k) == A
 
@@ -228,8 +232,8 @@ class TestOrbitKernels:
         solve = core._flip_row
         monkeypatch.setattr(core, "_flip_row", lambda *a: calls.append(a[1]) or solve(*a))
         core._flip_classes(seeded_towers(n, 200 + n)[0])
-        assert len(calls) == 2 ** (n + 1) - 2
-        assert Counter(calls) == {s: 2 ** (n - s) for s in range(n)}
+        assert len(calls) == 2 ** n - 1
+        assert Counter(calls) == {s: 2 ** (n - 1 - s) for s in range(n)}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stack_walk_matches_permutation_filter(self, n):

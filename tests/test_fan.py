@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bott import cohomology as coh
 from bott import fan as bfan
-from bott.core import BottMatrix, StageTooLarge, cotwist, equivalence_orbit, twist
+from bott.core import (BottMatrix, StageTooLarge, canonical_form, cotwist, equivalence_orbit,
+                       twist)
 from conftest import (
     SupportFunction,
     bott_matrices,
@@ -474,6 +475,11 @@ class TestKahlerEinstein:
     def test_other_stages_unknown(self):
         assert bfan.kahler_einstein_stage34(BottMatrix.identity(5)) == "Unknown"
         assert bfan.kahler_einstein_stage34(BottMatrix.identity(2)) == "Unknown"
+
+    def test_table_holds_canonical_forms(self):
+        # kahler_einstein_stage34 looks canonical_form(A) up in the table
+        for C in bfan._KE_STAGE3 + bfan._KE_STAGE4:
+            assert canonical_form(C) == C
 
 
 class TestOrbitInvariance:

@@ -151,10 +151,13 @@ def test_no_indented_json_dumps():
 
 # second implementations that were deleted: the closed forms of the moves,
 # the argparse-only refusal class, the hand-written float encoder, the
-# row test of reductivity and the per-flip-set solve of W_F (test oracles
-# now; W_F is solved row by row by core._flip_row)
+# row test of reductivity, the per-flip-set solve of W_F (test oracles
+# now; W_F is solved row by row by core._flip_row) and the support and
+# inversion masks of the orbit edges (a transposition applies exactly when
+# its target pair is in the orbit's pair table)
 DELETED = {"_fiber_inversion_rows", "_permuted", "ArgumentTooLarge", "_scalar_json",
-           "_float_json", "_FLOAT_SPECIAL", "csc_obstructed", "_flip_solve"}
+           "_float_json", "_FLOAT_SPECIAL", "csc_obstructed", "_flip_solve", "_support",
+           "_inversions"}
 
 
 def test_one_implementation_per_job():

@@ -5,7 +5,8 @@ enumeration bound exceeded, degenerate parameters), 2 on a parse error.
 Domain errors print {"error": code, "message": ...} to standard error.
 Rationals are serialized as "p/q" strings and large integer coefficients
 as decimal strings, so no precision is lost in transit.  `run` renders a
-result as `bott` prints it: indented JSON (`render_json`) or CSV.
+result as `bott` prints it: indented JSON (`render_json`) or CSV.  In a
+`cone --scan-bases` payload, equal inequality rows share one dict.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ DOMAIN_ERRORS = {
 
 SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
-CLASSES_STAGE_BOUND = 15  # `classes c|p` print up to 2^n terms: 1 s at n = 15
+CLASSES_STAGE_BOUND = 15  # `classes c|p` print up to 2^n terms: 0.6 s at n = 15
 CLASSES_ENTRY_BITS = 64   # and coefficients that grow with the entries: 1 s at n = 15
-SCAN_BASES_STAGE_BOUND = 13   # `cone --scan-bases` prints 2^(n-1) cones: 0.8 s at n = 13
+SCAN_BASES_STAGE_BOUND = 13   # `cone --scan-bases` prints 2^(n-1) cones: 0.5 s at n = 13
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -153,11 +154,15 @@ def _orbit_json(report) -> dict:
     }
 
 
-def _cone_json(rows, first_orthant: bool) -> dict:
-    """Each integer row of `fan.kahler_cone` as the inequality coeffs . r > 0."""
-    return {"inequalities": [{"coeffs": [str(c) for c in row], "rhs": "0", "strict": True}
-                             for row in rows],
-            "first_orthant": first_orthant}
+def _cone_json(rows, first_orthant: bool, inequalities: dict) -> dict:
+    """Rows of `fan.kahler_cone` as inequalities coeffs . r > 0, one shared dict per row."""
+    out = []
+    for row in rows:
+        ineq = inequalities.get(row)
+        if ineq is None:
+            inequalities[row] = ineq = {"coeffs": [str(c) for c in row], "rhs": "0", "strict": True}
+        out.append(ineq)
+    return {"inequalities": out, "first_orthant": first_orthant}
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -327,10 +332,11 @@ def _payload_for(args):
             if A.n > SCAN_BASES_STAGE_BOUND:
                 raise StageTooLarge(f"stage {A.n} exceeds bound {SCAN_BASES_STAGE_BOUND} "
                                     "for cone --scan-bases")
-            return {choice: _cone_json(*cone)
+            inequalities = {}
+            return {choice: _cone_json(*cone, inequalities)
                     for choice, cone in bfan.kahler_cone_scan(A).items()}, None
         basis = "u" * A.n if args.basis is None else args.basis
-        return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis))}, None
+        return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis), {})}, None
 
     if cmd == "roots":
         A = _load_matrix(args)

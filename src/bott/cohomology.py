@@ -132,10 +132,15 @@ class CohomologyClass:
         return " + ".join(parts)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"monomial": _bits(m, 1), "coeff": str(c)} for m, c in self.terms()],
-        }
+        """Terms by mask; a monomial list extends its prefix's (mask less top bit) if a term."""
+        lists: dict[int, list[int]] = {}
+        terms = []
+        for m, c in self.terms():
+            top = m.bit_length()
+            prefix = lists.get(m ^ 1 << top - 1) if m else None
+            lists[m] = mono = _bits(m, 1) if prefix is None else prefix + [top]
+            terms.append({"monomial": mono, "coeff": str(c)})
+        return {"n": self.n, "terms": terms}
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,9 @@ class CohomologyRing:
 
     def y(self, k: int) -> CohomologyClass:
         """Class dual to the zero section: y_k = x_k + alpha_k."""
-        return self.x(k) + self.alpha(k)
+        if not 0 <= k < self.n:
+            raise ValueError("stage index out of range")
+        return CohomologyClass(self, {1 << k: 1, **{1 << j: a for j, a in self._alpha_rows[k]}})
 
     def monomial(self, indices: Iterable[int]) -> CohomologyClass:
         return CohomologyClass(self, {_mask(indices): 1})
@@ -279,15 +286,15 @@ class CohomologyRing:
 
     def chern_total(self) -> CohomologyClass:
         total = self.one()
-        for k in range(self.n):
-            total = total * (self.one() + 2 * self.x(k) + self.alpha(k))
+        for k, row in enumerate(self._alpha_rows):   # factors 1 + 2 x_k + alpha_k
+            total = total * CohomologyClass(self, {0: 1, 1 << k: 2, **{1 << j: a for j, a in row}})
         return total
 
     def chern_1(self) -> CohomologyClass:
-        c1 = self.zero()
-        for k in range(self.n):
-            c1 = c1 + 2 * self.x(k) + self.alpha(k)
-        return c1
+        """c_1 = sum_j (2 + sum_{k>j} A[k][j]) x_j, read off the columns of A."""
+        rows = self.A.rows
+        return CohomologyClass(self, {1 << j: 2 + sum(row[j] for row in rows[j + 1:])
+                                      for j in range(self.n)})
 
     def pontrjagin_total(self) -> CohomologyClass:
         total = self.one()

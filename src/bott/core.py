@@ -158,8 +158,10 @@ class BottMatrix:
             if not isinstance(params, list) or len(params) != 3:
                 raise ValueError("stage3 needs three integers")
             matrix = cls.stage3(*params)
-        else:
+        elif "rows" in obj:
             matrix = cls.from_rows(obj["rows"])
+        else:
+            raise ValueError('matrix JSON needs "rows" or "stage3"')
         if "n" in obj and (type(obj["n"]) is not int or obj["n"] != matrix.n):
             raise ValueError("n does not match number of rows")
         return matrix

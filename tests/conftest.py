@@ -30,6 +30,7 @@ sign pattern of one row.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -70,6 +71,16 @@ def lower_triangular(n, entries):
     rows = [[next(it) if j < i else (1 if i == j else 0) for j in range(n)]
             for i in range(n)]
     return BottMatrix.from_rows(rows)
+
+
+def seeded_towers(n, seed):
+    """A dense and a sparse seeded tower of stage n."""
+    rng = random.Random(seed)
+    size = n * (n - 1) // 2
+    dense = lower_triangular(n, [rng.randint(-2, 2) for _ in range(size)])
+    sparse = lower_triangular(n, [rng.choice((-2, -1, 1, 3)) if rng.random() < 0.25 else 0
+                                  for _ in range(size)])
+    return dense, sparse
 
 
 def bott_matrices(min_stage=1, max_stage=5, max_entry=4):
@@ -446,6 +457,14 @@ def chern_total_oracle(ring):
     for k in range(ring.n):
         total = multiply_oracle(total, ring.one() + 2 * ring.x(k) + ring.alpha(k), cache)
     return total
+
+
+def chern_1_oracle(ring):
+    """sum_k (2 x_k + alpha_k), added up class by class."""
+    c1 = ring.zero()
+    for k in range(ring.n):
+        c1 = c1 + 2 * ring.x(k) + ring.alpha(k)
+    return c1
 
 
 def pontrjagin_total_oracle(ring):

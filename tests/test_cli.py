@@ -19,7 +19,7 @@ from bott.admissible import AdmissibleData
 from bott.cli import main, run
 from bott.core import ORBIT_STAGE_BOUND, BottMatrix
 from bott.fan import ROOT_SEARCH_BOUND
-from conftest import class_from_json
+from conftest import class_from_json, seeded_towers
 
 IDENTITY9 = json.dumps(BottMatrix.identity(9).to_json())   # one stage past ORBIT_STAGE_BOUND
 KS_DATA = '{"components": [{"d":1,"s":"2","r":"2/5"},{"d":1,"s":"-2","r":"-3/5"}]}'
@@ -100,6 +100,22 @@ class TestBasicCommands:
         payload = run(["cone", "--stage3", "0", "0", "0", "--scan-bases"]).payload
         assert set(payload) == {"uuu", "uuv", "uvu", "uvv"}
         assert all(entry["first_orthant"] for entry in payload.values())
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cone_scan_matches_each_basis(self, n):
+        # the scan builds one dict per distinct row and shares it between
+        # bases; each entry is still the payload of `cone --basis` alone
+        for A in seeded_towers(n, 600 + n):
+            matrix = json.dumps(A.to_json())
+            result = run(["cone", "--matrix", matrix, "--scan-bases"])
+            assert result.text == json.dumps(result.payload, indent=2)
+            assert len(result.payload) == 2 ** (n - 1)
+            shared = {}
+            for choice, entry in result.payload.items():
+                single = run(["cone", "--matrix", matrix, "--basis", choice]).payload
+                assert {"basis": choice, **entry} == single
+                for ineq in entry["inequalities"]:
+                    assert shared.setdefault(tuple(ineq["coeffs"]), ineq) is ineq
 
     def test_roots(self):
         payload = run(["roots", "--stage3", "0", "1", "-1"]).payload
@@ -413,6 +429,16 @@ class TestErrors:
         assert result.exit_code == 1
         assert result.payload == {"error": "invalid_input",
                                   "message": "provide exactly one of --stage3 or --matrix"}
+
+    @pytest.mark.parametrize("blob", ['{"n": 3}', "{}"])
+    def test_matrix_needs_rows_or_stage3(self, blob):
+        message = 'matrix JSON needs "rows" or "stage3"'
+        assert run(["twist", "--matrix", blob]).payload == {"error": "invalid_input",
+                                                            "message": message}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["twist", "--matrix", blob]) == 1
+        assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": message}
 
     def test_invalid_matrix(self):
         result = run(["twist", "--matrix", '{"n": 2, "rows": [[1, 5], [0, 1]]}'])

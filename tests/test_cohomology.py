@@ -1,16 +1,19 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bott import cohomology as coh
 from bott.core import BottMatrix, equivalence_orbit, twist, normalize_twist
 from conftest import (
     bott_matrices,
+    chern_1_oracle,
     chern_total_oracle,
     class_from_json,
     lower_triangular,
     multiply_oracle,
     pontrjagin_total_oracle,
+    seeded_towers,
     topological_twist0_factorization_exists,
 )
 
@@ -169,6 +172,24 @@ class TestChernClasses:
         for i, ki in enumerate(k):
             expected = expected + (2 + ki) * R.x(i)
         assert R.chern_1() == expected
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_c1_matches_class_sum(self, n):
+        # c_1 is read off the column sums of A; the oracle adds 2 x_k + alpha_k
+        for A in seeded_towers(n, 400 + n):
+            R = coh.CohomologyRing(A)
+            c1 = chern_1_oracle(R)
+            assert R.chern_1() == c1
+            assert R.stiefel_whitney_2() == c1.reduce_mod2()
+
+    def test_y_is_x_plus_alpha(self):
+        for A in seeded_towers(6, 7):
+            R = coh.CohomologyRing(A)
+            for k in range(6):
+                assert R.y(k) == R.x(k) + R.alpha(k)
+            for k in (-1, 6):
+                with pytest.raises(ValueError, match="out of range"):
+                    R.y(k)
 
 
 class TestPontrjagin:
@@ -362,6 +383,37 @@ class TestMonomialBits:
             assert mask == m and v.coefficient(indices) == c
             assert ring.monomial(indices).terms() == [(m, 1)]
         assert class_from_json(A, {"terms": json_terms}).terms() == v.terms()
+
+
+class TestJsonMonomials:
+    # to_json extends the index list of a term's prefix, its mask without
+    # the top bit, when that prefix is a term, and reads the bits otherwise
+    @staticmethod
+    def assert_monomials(v):
+        terms = v.to_json()["terms"]
+        assert [t["monomial"] for t in terms] == [coh._bits(m, 1) for m, _ in v.terms()]
+        assert len({id(t["monomial"]) for t in terms}) == len(terms)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_chern_and_pontrjagin_classes(self, n):
+        # every prefix of a Chern term is a term; no prefix of a Pontrjagin
+        # term is, since they all have even degree
+        for A in seeded_towers(n, 500 + n):
+            R = coh.CohomologyRing(A)
+            self.assert_monomials(R.chern_total())
+            self.assert_monomials(R.pontrjagin_total())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sparse_classes_skip_prefixes(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        R = coh.CohomologyRing(seeded_towers(n, seed)[0])
+        # x1 x2 extends x1; x3 x4 has no prefix term x3
+        masks = {m for m in range(1 << n) if rng.random() < 0.3} - {0b100} | {0b1, 0b11, 0b1100}
+        prefixes = {m ^ 1 << m.bit_length() - 1 for m in masks if m}
+        assert prefixes & masks and prefixes - masks
+        self.assert_monomials(coh.CohomologyClass(R, {m: rng.choice((-3, -1, 2, 5))
+                                                      for m in masks}))
 
 
 class TestSerialization:

@@ -33,6 +33,7 @@ from conftest import (
     normalize_twist_oracle,
     orbit_closure_oracle,
     orbit_edges_oracle,
+    seeded_towers,
     signed_permutations,
 )
 
@@ -80,6 +81,7 @@ class TestValidation:
         {"rows": 5}, {"rows": [1, 2]}, {"stage3": 5}, {"stage3": [1, 2]},
         {"n": True, "rows": [[1]]}, {"n": "1", "rows": [[1]]}, [[1]],
         {"stage3": [1, 2, 3], "n": 5}, {"stage3": [1, 2, 3], "rows": [[1]]},
+        {"n": 3}, {},
     ])
     def test_rejects_malformed_json(self, obj):
         with pytest.raises(ValueError):
@@ -200,16 +202,6 @@ class TestSignedPermutations:
     def test_identity_pair(self):
         A = BottMatrix.stage3(5, -2, 7)
         assert apply_signed_permutation(A, (0, 1, 2), (0, 0, 0)) == A
-
-
-def seeded_towers(n, seed):
-    """A dense and a sparse seeded tower of stage n."""
-    rng = random.Random(seed)
-    size = n * (n - 1) // 2
-    dense = lower_triangular(n, [rng.randint(-2, 2) for _ in range(size)])
-    sparse = lower_triangular(n, [rng.choice((-2, -1, 1, 3)) if rng.random() < 0.25 else 0
-                                  for _ in range(size)])
-    return dense, sparse
 
 
 class TestOrbitKernels:

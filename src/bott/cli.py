@@ -6,7 +6,8 @@ Domain errors print {"error": code, "message": ...} to standard error.
 Rationals are serialized as "p/q" strings and large integer coefficients
 as decimal strings, so no precision is lost in transit.  `run` renders a
 result as `bott` prints it: indented JSON (`render_json`) or CSV.  In a
-`cone --scan-bases` payload, equal inequality rows share one dict.
+`cone --scan-bases` payload, equal inequality rows share one dict, marked
+`_Shared`, which `render_json` writes once per indentation.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ SCAN_RADIUS_BOUND = 7     # `bott scan` visits (2r+1)^3 towers: 3,375 at r = 7
 TRAJECTORY_BOUND = 500    # `cproj --trajectory STEPS`: one transform per step
 CLASSES_STAGE_BOUND = 15  # `classes c|p` print up to 2^n terms: 0.6 s at n = 15
 CLASSES_ENTRY_BITS = 64   # and coefficients that grow with the entries: 1 s at n = 15
-SCAN_BASES_STAGE_BOUND = 13   # `cone --scan-bases` prints 2^(n-1) cones: 0.5 s at n = 13
+SCAN_BASES_STAGE_BOUND = 13   # `cone --scan-bases` prints 2^(n-1) cones: 0.3 s at n = 13
 CSC_HEADER = ("m", "r_plus", "r_minus")
 
 
@@ -69,16 +70,31 @@ _SCALAR_JSON = {
 }
 
 
+class _Shared(dict):
+    """A payload dict that the payload may hold more than once.
+
+    `render_json` writes its text once per indentation and reuses it; a
+    plain dict is rendered at every reference and never stored.
+    """
+
+
 def render_json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte.
 
     json.dumps with an indent runs the pure-Python encoder; this one
-    encodes strings with json's C encoder and joins a list of scalars of
-    one type in a single call.  Any other scalar (a float, a subclass) and
-    a non-str dict key are written by json itself, which raises TypeError
-    for what it cannot write.  `pad` is the line break and indentation of
-    the line that closes obj.
+    encodes strings with json's C encoder, joins a list of scalars of one
+    type in a single call, and writes each `_Shared` dict once per
+    indentation.  Any other scalar (a float, a subclass) and a non-str
+    dict key are written by json itself, which raises TypeError for what
+    it cannot write.  `pad` is the line break and indentation of the line
+    that closes obj.
     """
+    return _render(obj, pad, {})
+
+
+def _render(obj, pad: str, memo: dict) -> str:
+    """`render_json` with `memo`, which maps (id, pad) of each `_Shared`
+    dict rendered so far in this call to its text."""
     encode = _SCALAR_JSON.get(type(obj))
     if encode:
         return encode(obj)
@@ -86,16 +102,27 @@ def render_json(obj, pad: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [(encode_basestring_ascii(k) if isinstance(k, str)
-                  else json.dumps({k: 0})[1:-4])   # json's own form of the key
-                 + ": " + render_json(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        shared = type(obj) is _Shared
+        if shared:
+            text = memo.get((id(obj), pad))
+            if text is not None:
+                return text
+        items = []
+        for k, v in obj.items():
+            encode = _SCALAR_JSON.get(type(v))
+            items.append((encode_basestring_ascii(k) if isinstance(k, str)
+                          else json.dumps({k: 0})[1:-4])   # json's own form of the key
+                         + ": " + (encode(v) if encode else _render(v, inner, memo)))
+        text = "{" + inner + ("," + inner).join(items) + pad + "}"
+        if shared:
+            memo[id(obj), pad] = text
+        return text
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
         encode = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(encode, obj) if encode else [render_json(x, inner) for x in obj]
+        items = map(encode, obj) if encode else [_render(x, inner, memo) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(obj)
 
@@ -155,12 +182,12 @@ def _orbit_json(report) -> dict:
 
 
 def _cone_json(rows, first_orthant: bool, inequalities: dict) -> dict:
-    """Rows of `fan.kahler_cone` as inequalities coeffs . r > 0, one shared dict per row."""
+    """Rows of `fan.kahler_cone` as inequalities coeffs . r > 0, one `_Shared` dict per row."""
     out = []
     for row in rows:
         ineq = inequalities.get(row)
         if ineq is None:
-            inequalities[row] = ineq = {"coeffs": [str(c) for c in row], "rhs": "0", "strict": True}
+            inequalities[row] = ineq = _Shared(coeffs=[str(c) for c in row], rhs="0", strict=True)
         out.append(ineq)
     return {"inequalities": out, "first_orthant": first_orthant}
 
@@ -327,6 +354,8 @@ def _payload_for(args):
         return t3.twist1_diffeomorphic(args.k, args.kprime), None
 
     if cmd == "cone":
+        if args.scan_bases and args.basis is not None:
+            raise ValueError("provide at most one of --basis or --scan-bases")
         A = _load_matrix(args)
         if args.scan_bases:
             if A.n > SCAN_BASES_STAGE_BOUND:

@@ -115,6 +115,7 @@ class TestBasicCommands:
                 single = run(["cone", "--matrix", matrix, "--basis", choice]).payload
                 assert {"basis": choice, **entry} == single
                 for ineq in entry["inequalities"]:
+                    assert type(ineq) is cli._Shared
                     assert shared.setdefault(tuple(ineq["coeffs"]), ineq) is ineq
 
     def test_roots(self):
@@ -643,6 +644,18 @@ class TestErrors:
         assert json.loads(err.getvalue())["error"] == "stage_too_large"
         assert run(["cone", "--matrix", refused]).exit_code == 0
 
+    @pytest.mark.parametrize("argv", [["--scan-bases", "--basis", "uvu"],
+                                      ["--basis", "uuu", "--scan-bases"]])
+    def test_basis_and_scan_bases_conflict(self, argv):
+        message = "provide at most one of --basis or --scan-bases"
+        result = run(["cone", "--stage3", "1", "1", "1", *argv])
+        assert (result.exit_code, result.payload) == (1, {"error": "invalid_input",
+                                                          "message": message})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cone", "--stage3", "1", "1", "1", *argv]) == 1
+        assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": message}
+
     @pytest.mark.parametrize("basis", ["", "vuu", "uu", "uxu", "uuuu"])
     def test_malformed_cone_basis(self, basis):
         result = run(["cone", "--stage3", "-1", "2", "-3", "--basis", basis])
@@ -676,6 +689,22 @@ _json_tree = st.recursive(
                            st.dictionaries(_key, kids, max_size=4)),
     max_leaves=30)
 
+_json_dict = st.dictionaries(_key, _json_tree, max_size=4)
+
+
+@st.composite
+def _json_dag(draw):
+    """A payload holding one plain dict and one `cli._Shared` dict several
+    times each, at two depths; the shared dict may hold the plain one."""
+    plain = draw(_json_dict)
+    shared = cli._Shared(draw(_json_dict))
+    if draw(st.booleans()):
+        shared["plain"] = plain
+    node = st.one_of(st.sampled_from([plain, shared]), _json_tree)
+    middle = draw(st.lists(st.one_of(node, st.dictionaries(st.text(max_size=2), node,
+                                                           max_size=3)), max_size=4))
+    return [plain, shared, {"a": [shared, plain], "b": shared}, *middle, plain, shared]
+
 
 class TestRendering:
     """`run` renders each JSON result as json.dumps(payload, indent=2), the
@@ -690,6 +719,45 @@ class TestRendering:
     @example([float("inf"), float("-inf"), float("nan"), -0.0, 1e300, 5e-324])
     def test_matches_json_dumps(self, value):
         assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    @given(_json_dag())
+    @settings(max_examples=200, deadline=None)
+    @example([cli._Shared(a=[1, {"b": None}]), {"x": cli._Shared(), "y": [[]]}])
+    def test_shared_dicts_match_json_dumps(self, value):
+        assert cli.render_json(value) == json.dumps(value, indent=2)
+
+    def test_shared_dict_rendered_once_per_depth(self, monkeypatch):
+        child = {"x": [1, 2]}
+        shared = cli._Shared(coeffs=["1", "-2"], child=child)
+        calls = []   # the indentation of each rendering of `child`
+        render = cli._render
+
+        def counting(obj, pad, memo):
+            if obj is child:
+                calls.append(pad)
+            return render(obj, pad, memo)
+
+        monkeypatch.setattr(cli, "_render", counting)
+        one_depth = [shared, {"a": 1}, shared, shared]
+        memo = {}
+        assert cli._render(one_depth, "\n", memo) == json.dumps(one_depth, indent=2)
+        assert calls == ["\n    "]
+        assert memo == {(id(shared), "\n  "): json.dumps(shared, indent=2).replace("\n", "\n  ")}
+        calls.clear()
+        two_depths = [shared, {"b": shared}, [shared, shared]]
+        assert cli.render_json(two_depths) == json.dumps(two_depths, indent=2)
+        assert sorted(calls) == ["\n    ", "\n      "]
+
+    def test_plain_dicts_are_never_stored(self):
+        payload = run(["orbit", "--stage3", "1", "2", "3"]).payload
+        assert payload["moves"] and isinstance(payload["moves"][0], dict)
+        memo = {}
+        assert cli._render(payload, "\n", memo) == json.dumps(payload, indent=2)
+        assert memo == {}
+        payload = run(["cone", "--stage3", "1", "2", "3", "--scan-bases"]).payload
+        cli._render(payload, "\n", memo)
+        ineqs = {id(ineq) for entry in payload.values() for ineq in entry["inequalities"]}
+        assert {key for key, _ in memo} == ineqs
 
     def test_subclasses_render_as_their_base(self):
         import enum
@@ -916,7 +984,8 @@ def _tower_argv(draw):
     if command == "classes":
         argv.insert(1, draw(st.sampled_from(["c", "p", "w2", "x"])))
     elif command == "cone":
-        argv += draw(st.sampled_from([[], ["--scan-bases"], ["--basis", draw(_basis_text)]]))
+        basis = ["--basis", draw(_basis_text)]
+        argv += draw(st.sampled_from([[], ["--scan-bases"], basis, ["--scan-bases", *basis]]))
     return argv
 
 

@@ -8,6 +8,9 @@ as decimal strings, so no precision is lost in transit.  `run` renders a
 result as `bott` prints it: indented JSON (`render_json`) or CSV.  In a
 `cone --scan-bases` payload, equal inequality rows share one dict, marked
 `_Shared`, which `render_json` writes once per indentation.
+
+Each command is one entry of `COMMANDS`, whose compute looks its library
+calls up when it runs; `build_parser` and `_payload_for` read the table.
 """
 
 from __future__ import annotations
@@ -159,13 +162,8 @@ def _load_matrix(args) -> BottMatrix:
     raise ValueError("provide a tower via --stage3 a b c or --matrix JSON/file")
 
 
-def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--stage3", nargs=3, type=int, metavar=("A", "B", "C"),
-                        help="stage-3 shorthand for the matrix entries")
-    parser.add_argument("--matrix", help='matrix as JSON {"n":..,"rows":[[..]]} or a file path')
-
-
-def _orbit_json(report) -> dict:
+def _orbit(args):
+    report = equivalence_orbit(_load_matrix(args))
     moves = []
     for edge in report.moves:
         entry = {"from": edge.source, "to": edge.target, "kind": edge.move.kind}
@@ -178,7 +176,7 @@ def _orbit_json(report) -> dict:
         "representatives": [m.to_json() for m in report.representatives],
         "canonical": report.canonical.to_json(),
         "moves": moves,
-    }
+    }, None
 
 
 def _cone_json(rows, first_orthant: bool, inequalities: dict) -> dict:
@@ -200,74 +198,222 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
+def _cohomology(args):
+    A = _load_matrix(args)
+    R = coh.ring(A)
+    return {
+        "n": A.n,
+        "alpha": [R.alpha(k).to_json() for k in range(A.n)],
+        "y": [R.y(k).to_json() for k in range(A.n)],
+    }, None
+
+
+def _roots(args):
+    A = _load_matrix(args)
+    roots = bfan.demazure_roots(A)
+    return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
+            "reductive": roots.is_symmetric()}, None
+
+
+def _classes(args):
+    A = _load_matrix(args)
+    if args.kind != "w2":
+        if A.n > CLASSES_STAGE_BOUND:
+            raise StageTooLarge(f"stage {A.n} exceeds bound {CLASSES_STAGE_BOUND} "
+                                f"for classes {args.kind}")
+        bits = max(abs(e).bit_length() for row in A.rows for e in row)
+        if bits > CLASSES_ENTRY_BITS:
+            raise StageTooLarge(f"entry of {bits} bits exceeds bound "
+                                f"{CLASSES_ENTRY_BITS} for classes {args.kind}")
+    R = coh.ring(A)
+    if args.kind == "c":
+        return R.chern_total().to_json(), None
+    if args.kind == "p":
+        return R.pontrjagin_total().to_json(), None
+    w2 = R.stiefel_whitney_2()
+    return {"n": w2.n,
+            "monomials": [[i + 1 for i in mono] for mono in w2.monomials()]}, None
+
+
+def _cone(args):
+    if args.scan_bases and args.basis is not None:
+        raise ValueError("provide at most one of --basis or --scan-bases")
+    A = _load_matrix(args)
+    if args.scan_bases:
+        if A.n > SCAN_BASES_STAGE_BOUND:
+            raise StageTooLarge(f"stage {A.n} exceeds bound {SCAN_BASES_STAGE_BOUND} "
+                                "for cone --scan-bases")
+        inequalities = {}
+        return {choice: _cone_json(*cone, inequalities)
+                for choice, cone in bfan.kahler_cone_scan(A).items()}, None
+    basis = "u" * A.n if args.basis is None else args.basis
+    return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis), {})}, None
+
+
+def _compat_enumerate(args):
+    reps = sp.enumerate_compatible(args.k1, args.k2, args.k3)
+    return {"count": len(reps), "representatives": [list(t) for t in reps]}, None
+
+
+def _extremal_poly(args):
+    data = adm.AdmissibleData.from_json(_json_arg(args.data))
+    profile = adm.extremal_polynomial(data)
+    return {
+        "data": data.to_json(),
+        "profile": profile.to_json(),
+        "csc": adm.is_csc(profile),
+        "positive": adm.is_positive_on_interval(profile.F),
+    }, None
+
+
+def _csc_family(args):
+    if (args.rplus is None) == (args.sweep is None):
+        raise ValueError("provide exactly one of --rplus or --sweep")
+    if args.sweep is not None:
+        return None, (CSC_HEADER, csc_sweep_rows([args.m], args.sweep, args.tolerance))
+    roots = adm.csc_family_solve(args.m, args.rplus, args.tolerance)
+    payload = {"m": args.m, "r_plus": str(args.rplus), "roots": [str(r) for r in roots]}
+    if not args.csv:
+        return payload, None
+    return payload, (CSC_HEADER, [(args.m, float(args.rplus), float(r)) for r in roots])
+
+
+def _cproj(args):
+    data = adm.AdmissibleData.from_json(_json_arg(args.data))
+    if args.poly is not None:
+        if not args.poly.strip():
+            raise ValueError("--poly needs at least one coefficient")
+        F = poly(adm.parse_rational(c) for c in args.poly.split(","))
+    else:
+        F = adm.extremal_polynomial(data).F
+    if args.alpha is None:
+        raise ValueError("provide --alpha")
+    adm.check_bits(args.alpha, args.beta)
+    if args.trajectory is not None:
+        # (step, r1, r2) along the straight parameter path from 0 to alpha
+        steps = args.trajectory
+        if steps < 1:
+            raise ValueError("--trajectory must be a positive integer")
+        if steps > TRAJECTORY_BOUND:
+            raise StageTooLarge(f"trajectory of {steps} steps exceeds bound "
+                                f"{TRAJECTORY_BOUND}")
+        adm.cproj_transform(F, data, 0, args.beta)   # the degree (and beta) checked once
+        rows = []
+        for step in range(steps + 1):
+            r_now = (adm.cproj_parameters(data, Fraction(step, steps) * args.alpha, args.beta)
+                     if step else data.r_list())
+            rows.append((step, float(r_now[0]),
+                         float(r_now[1]) if len(r_now) > 1 else ""))
+        return None, (("step", "r1", "r2"), rows)
+    new_F, new_data = adm.cproj_transform(F, data, args.alpha, args.beta)
+    return {
+        "F": [str(c) for c in F],
+        "F_transformed": [str(c) for c in new_F],
+        "r": [str(r) for r in data.r_list()],
+        "r_transformed": [str(r) for r in new_data.r_list()],
+    }, None
+
+
+def _ak_solve(args):
+    data = ak.SquareFiberData.make(args.p0, args.p1, args.p2)
+    sol = ak.solve_ak(data)
+    return {
+        "solution": sol.to_json(),
+        "determinant": str(ak.system_determinant(data)),
+        "positive": ak.check_positivity(data, sol),
+        "integrable": ak.check_integrability(data, sol),
+    }, None
+
+
+def _scan(args):
+    rows = list(stage3_rows(args.radius))
+    if not args.csv:
+        return rows, None
+    return rows, (list(rows[0]), [list(row.values()) for row in rows])
+
+
+def _arg(*names, **options):
+    """One `add_argument(*names, **options)` call of a command's parser."""
+    return names, options
+
+
+_MATRIX_ARGS = (
+    _arg("--stage3", nargs=3, type=int, metavar=("A", "B", "C"),
+         help="stage-3 shorthand for the matrix entries"),
+    _arg("--matrix", help='matrix as JSON {"n":..,"rows":[[..]]} or a file path'),
+)
+_WEIGHT_ARGS = tuple(_arg(k, type=_frac) for k in ("k1", "k2", "k3"))
+
+# Every `bott` command, in the order of `bott -h`: name -> (its line in
+# `bott -h` or None, the `_arg` calls of its parser, compute).  compute
+# maps the parsed namespace to the (payload, table) pair of `_payload_for`.
+# It looks each library call up when it runs, as a global or a module
+# attribute, never through a reference taken at import: the benchmark
+# tracer replaces those names to record its spans.
+COMMANDS = {
+    "twist": (None, _MATRIX_ARGS, lambda args: (twist(_load_matrix(args)), None)),
+    "cotwist": (None, _MATRIX_ARGS, lambda args: (cotwist(_load_matrix(args)), None)),
+    "orbit": (None, _MATRIX_ARGS, _orbit),
+    "cohomology": (None, _MATRIX_ARGS, _cohomology),
+    "reductive": (None, _MATRIX_ARGS, lambda args: (bfan.is_reductive(_load_matrix(args)), None)),
+    "roots": (None, _MATRIX_ARGS, _roots),
+    "fano": (None, _MATRIX_ARGS, lambda args: (bfan.is_fano(_load_matrix(args)), None)),
+    "classes": ("characteristic classes",
+                (_arg("kind", choices=["c", "p", "w2"]), *_MATRIX_ARGS), _classes),
+    "classify3": ("stage-3 diffeomorphism invariants", tuple(_arg(x, type=int) for x in "abc"),
+                  lambda args: (t3.stage3_invariants(args.a, args.b, args.c).to_json(), None)),
+    "twist1-diffeo": (None, (_arg("--k", nargs="+", type=int, required=True),
+                             _arg("--kprime", nargs="+", type=int, required=True)),
+                      lambda args: (t3.twist1_diffeomorphic(args.k, args.kprime), None)),
+    "cone": ("ample-cone inequalities in a divisor basis", (
+        *_MATRIX_ARGS,
+        _arg("--basis", help="string of u/v per stage, first must be u"),
+        _arg("--scan-bases", action="store_true", help="report every generator basis"),
+    ), _cone),
+    "symplectic-count": (None, _WEIGHT_ARGS, lambda args: (dict(zip(
+        ("N_B0", "N_Bne0", "N_B"), sp.count_compatible(args.k1, args.k2, args.k3))), None)),
+    "compat-enumerate": (None, _WEIGHT_ARGS, _compat_enumerate),
+    "extremal-poly": (None, (
+        _arg("--data", required=True,
+             help='admissible data as JSON {"components":[{"d":..,"s":..,"r":..}]} '
+                  "or a file path"),
+    ), _extremal_poly),
+    "csc-family": (None, (
+        _arg("--m", type=int, required=True),
+        _arg("--rplus", type=_frac, help="single parameter instead of a sweep"),
+        _arg("--sweep", type=_frac, help="sweep step over (0, 1)"),
+        _arg("--tolerance", type=_frac, default=adm.DEFAULT_CSC_TOLERANCE),
+        _arg("--csv", action="store_true"),
+    ), _csc_family),
+    "cproj": (None, (
+        _arg("--data", required=True),
+        _arg("--alpha", type=_frac),
+        _arg("--beta", type=_frac, default=Fraction(1)),
+        _arg("--poly", help="profile coefficients, comma separated "
+                            "(default: the extremal polynomial of the data)"),
+        _arg("--trajectory", type=int, metavar="STEPS",
+             help="emit the parameter path from 0 to alpha in STEPS steps"),
+    ), _cproj),
+    "ak-solve": (None, (_arg("p0", type=_frac), _arg("p1", type=int), _arg("p2", type=int)),
+                 _ak_solve),
+    "scan": ("stage-3 box scan of invariants",
+             (_arg("--radius", type=int, required=True), _arg("--csv", action="store_true")),
+             _scan),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The `bott` parser, one subparser per COMMANDS entry; its `commands`
+    attribute maps each command name to that subparser."""
     parser = argparse.ArgumentParser(prog="bott",
                                      description="Exact invariants of Bott towers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("twist", "cotwist", "orbit", "cohomology", "reductive", "roots", "fano"):
-        p = sub.add_parser(name)
-        _add_matrix_args(p)
-
-    p = sub.add_parser("classes", help="characteristic classes")
-    p.add_argument("kind", choices=["c", "p", "w2"])
-    _add_matrix_args(p)
-
-    p = sub.add_parser("classify3", help="stage-3 diffeomorphism invariants")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-
-    p = sub.add_parser("twist1-diffeo")
-    p.add_argument("--k", nargs="+", type=int, required=True)
-    p.add_argument("--kprime", nargs="+", type=int, required=True)
-
-    p = sub.add_parser("cone", help="ample-cone inequalities in a divisor basis")
-    _add_matrix_args(p)
-    p.add_argument("--basis", help="string of u/v per stage, first must be u")
-    p.add_argument("--scan-bases", action="store_true",
-                   help="report every generator basis")
-
-    p = sub.add_parser("symplectic-count")
-    p.add_argument("k1", type=_frac)
-    p.add_argument("k2", type=_frac)
-    p.add_argument("k3", type=_frac)
-
-    p = sub.add_parser("compat-enumerate")
-    p.add_argument("k1", type=_frac)
-    p.add_argument("k2", type=_frac)
-    p.add_argument("k3", type=_frac)
-
-    p = sub.add_parser("extremal-poly")
-    p.add_argument("--data", required=True,
-                   help='admissible data as JSON {"components":[{"d":..,"s":..,"r":..}]} '
-                        "or a file path")
-
-    p = sub.add_parser("csc-family")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--rplus", type=_frac, help="single parameter instead of a sweep")
-    p.add_argument("--sweep", type=_frac, help="sweep step over (0, 1)")
-    p.add_argument("--tolerance", type=_frac, default=adm.DEFAULT_CSC_TOLERANCE)
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("cproj")
-    p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=_frac)
-    p.add_argument("--beta", type=_frac, default=Fraction(1))
-    p.add_argument("--poly", help="profile coefficients, comma separated "
-                                  "(default: the extremal polynomial of the data)")
-    p.add_argument("--trajectory", type=int, metavar="STEPS",
-                   help="emit the parameter path from 0 to alpha in STEPS steps")
-
-    p = sub.add_parser("ak-solve")
-    p.add_argument("p0", type=_frac)
-    p.add_argument("p1", type=int)
-    p.add_argument("p2", type=int)
-
-    p = sub.add_parser("scan", help="stage-3 box scan of invariants")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-
+    parser.commands = {}
+    for name, (line, arguments, _) in COMMANDS.items():
+        # any help keyword, None too, lists the command in `bott -h`
+        p = parser.commands[name] = sub.add_parser(name, **({"help": line} if line else {}))
+        for names, options in arguments:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -292,9 +438,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """
     parser = _parser()
     if argv:
-        commands = next(action.choices for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        sub = commands.get(argv[0])
+        sub = parser.commands.get(argv[0])
         if sub is not None:
             args, extras = sub.parse_known_args(argv[1:])
             if not extras:
@@ -304,162 +448,14 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 
 
 def _payload_for(args):
-    """(payload, table) for one parsed command line.
+    """(payload, table) for one parsed command line: its command's compute.
 
     table is None, or the (header, rows) that `run` prints as CSV.  A
     payload of None marks a result that is only a table; its payload
     becomes the CSV body lines.
     """
-    cmd = args.command
-
-    if cmd in ("twist", "cotwist"):
-        A = _load_matrix(args)
-        return (twist(A) if cmd == "twist" else cotwist(A)), None
-
-    if cmd == "orbit":
-        return _orbit_json(equivalence_orbit(_load_matrix(args))), None
-
-    if cmd == "cohomology":
-        A = _load_matrix(args)
-        R = coh.ring(A)
-        return {
-            "n": A.n,
-            "alpha": [R.alpha(k).to_json() for k in range(A.n)],
-            "y": [R.y(k).to_json() for k in range(A.n)],
-        }, None
-
-    if cmd == "classes":
-        A = _load_matrix(args)
-        if args.kind != "w2":
-            if A.n > CLASSES_STAGE_BOUND:
-                raise StageTooLarge(f"stage {A.n} exceeds bound {CLASSES_STAGE_BOUND} "
-                                    f"for classes {args.kind}")
-            bits = max(abs(e).bit_length() for row in A.rows for e in row)
-            if bits > CLASSES_ENTRY_BITS:
-                raise StageTooLarge(f"entry of {bits} bits exceeds bound "
-                                    f"{CLASSES_ENTRY_BITS} for classes {args.kind}")
-        R = coh.ring(A)
-        if args.kind == "c":
-            return R.chern_total().to_json(), None
-        if args.kind == "p":
-            return R.pontrjagin_total().to_json(), None
-        w2 = R.stiefel_whitney_2()
-        return {"n": w2.n,
-                "monomials": [[i + 1 for i in mono] for mono in w2.monomials()]}, None
-
-    if cmd == "classify3":
-        return t3.stage3_invariants(args.a, args.b, args.c).to_json(), None
-
-    if cmd == "twist1-diffeo":
-        return t3.twist1_diffeomorphic(args.k, args.kprime), None
-
-    if cmd == "cone":
-        if args.scan_bases and args.basis is not None:
-            raise ValueError("provide at most one of --basis or --scan-bases")
-        A = _load_matrix(args)
-        if args.scan_bases:
-            if A.n > SCAN_BASES_STAGE_BOUND:
-                raise StageTooLarge(f"stage {A.n} exceeds bound {SCAN_BASES_STAGE_BOUND} "
-                                    "for cone --scan-bases")
-            inequalities = {}
-            return {choice: _cone_json(*cone, inequalities)
-                    for choice, cone in bfan.kahler_cone_scan(A).items()}, None
-        basis = "u" * A.n if args.basis is None else args.basis
-        return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis), {})}, None
-
-    if cmd == "roots":
-        A = _load_matrix(args)
-        roots = bfan.demazure_roots(A)
-        return {"n": A.n, "roots": sorted(list(chi) for chi in roots.roots),
-                "reductive": roots.is_symmetric()}, None
-
-    if cmd == "reductive":
-        return bfan.is_reductive(_load_matrix(args)), None
-
-    if cmd == "fano":
-        return bfan.is_fano(_load_matrix(args)), None
-
-    if cmd == "symplectic-count":
-        n_b0, n_bne0, n_b = sp.count_compatible(args.k1, args.k2, args.k3)
-        return {"N_B0": n_b0, "N_Bne0": n_bne0, "N_B": n_b}, None
-
-    if cmd == "compat-enumerate":
-        reps = sp.enumerate_compatible(args.k1, args.k2, args.k3)
-        return {"count": len(reps), "representatives": [list(t) for t in reps]}, None
-
-    if cmd == "extremal-poly":
-        data = adm.AdmissibleData.from_json(_json_arg(args.data))
-        profile = adm.extremal_polynomial(data)
-        return {
-            "data": data.to_json(),
-            "profile": profile.to_json(),
-            "csc": adm.is_csc(profile),
-            "positive": adm.is_positive_on_interval(profile.F),
-        }, None
-
-    if cmd == "csc-family":
-        if (args.rplus is None) == (args.sweep is None):
-            raise ValueError("provide exactly one of --rplus or --sweep")
-        if args.sweep is not None:
-            return None, (CSC_HEADER, csc_sweep_rows([args.m], args.sweep, args.tolerance))
-        roots = adm.csc_family_solve(args.m, args.rplus, args.tolerance)
-        payload = {"m": args.m, "r_plus": str(args.rplus), "roots": [str(r) for r in roots]}
-        if not args.csv:
-            return payload, None
-        return payload, (CSC_HEADER, [(args.m, float(args.rplus), float(r)) for r in roots])
-
-    if cmd == "cproj":
-        data = adm.AdmissibleData.from_json(_json_arg(args.data))
-        if args.poly is not None:
-            if not args.poly.strip():
-                raise ValueError("--poly needs at least one coefficient")
-            F = poly(adm.parse_rational(c) for c in args.poly.split(","))
-        else:
-            F = adm.extremal_polynomial(data).F
-        if args.alpha is None:
-            raise ValueError("provide --alpha")
-        adm.check_bits(args.alpha, args.beta)
-        if args.trajectory is not None:
-            # (step, r1, r2) along the straight parameter path from 0 to alpha
-            steps = args.trajectory
-            if steps < 1:
-                raise ValueError("--trajectory must be a positive integer")
-            if steps > TRAJECTORY_BOUND:
-                raise StageTooLarge(f"trajectory of {steps} steps exceeds bound "
-                                    f"{TRAJECTORY_BOUND}")
-            adm.cproj_transform(F, data, 0, args.beta)   # the degree (and beta) checked once
-            rows = []
-            for step in range(steps + 1):
-                r_now = (adm.cproj_parameters(data, Fraction(step, steps) * args.alpha, args.beta)
-                         if step else data.r_list())
-                rows.append((step, float(r_now[0]),
-                             float(r_now[1]) if len(r_now) > 1 else ""))
-            return None, (("step", "r1", "r2"), rows)
-        new_F, new_data = adm.cproj_transform(F, data, args.alpha, args.beta)
-        return {
-            "F": [str(c) for c in F],
-            "F_transformed": [str(c) for c in new_F],
-            "r": [str(r) for r in data.r_list()],
-            "r_transformed": [str(r) for r in new_data.r_list()],
-        }, None
-
-    if cmd == "ak-solve":
-        data = ak.SquareFiberData.make(args.p0, args.p1, args.p2)
-        sol = ak.solve_ak(data)
-        return {
-            "solution": sol.to_json(),
-            "determinant": str(ak.system_determinant(data)),
-            "positive": ak.check_positivity(data, sol),
-            "integrable": ak.check_integrability(data, sol),
-        }, None
-
-    if cmd == "scan":
-        rows = list(stage3_rows(args.radius))
-        if not args.csv:
-            return rows, None
-        return rows, (list(rows[0]) if rows else [], [list(row.values()) for row in rows])
-
-    raise ValueError(f"unhandled command {cmd}")
+    *_, compute = COMMANDS[args.command]
+    return compute(args)
 
 
 def stage3_rows(radius: int, census: bool = False) -> Iterator[dict]:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import runpy
 import sys
 import time
@@ -1257,3 +1258,33 @@ class TestParsePath:
         assert err.splitlines()[-1].startswith(last_line)
         monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
         assert TestRendering.printed(argv) == (code, out, err)
+
+    def test_every_command_is_parsed_and_rendered(self):
+        # each command of the table has a line in JSON_COMMANDS, so it goes
+        # through the parse differential above and the rendering tests
+        assert {argv[0] for argv in TestRendering.JSON_COMMANDS} == set(cli.COMMANDS)
+
+
+class TestHelpListing:
+    """`bott -h` lists every command in the table's order, and a help line
+    for four of them; only the structure is checked, since argparse lays
+    out its help differently across Python versions."""
+
+    COMMANDS = ["twist", "cotwist", "orbit", "cohomology", "reductive", "roots", "fano",
+                "classes", "classify3", "twist1-diffeo", "cone", "symplectic-count",
+                "compat-enumerate", "extremal-poly", "csc-family", "cproj", "ak-solve", "scan"]
+    HELP_LINES = {
+        "classes": "characteristic classes",
+        "classify3": "stage-3 diffeomorphism invariants",
+        "cone": "ample-cone inequalities in a divisor basis",
+        "scan": "stage-3 box scan of invariants",
+    }
+
+    def test_help_lists_every_command(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        code, out, err = TestRendering.printed(["-h"])
+        assert (code, err) == (0, "")
+        assert re.search(r"\{([^}]*)\}", out).group(1).split(",") == self.COMMANDS
+        # a command listed without a help line is a name alone on its line
+        assert dict(re.findall(r"^ {4}([\w-]+)(?: +(\S.*))?$", out, re.M)) == self.HELP_LINES
+        assert list(cli.COMMANDS) == self.COMMANDS

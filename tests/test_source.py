@@ -1,6 +1,5 @@
 """Checks on the library source itself."""
 
-import argparse
 import ast
 import re
 from collections import Counter
@@ -130,12 +129,28 @@ def test_bounds_are_not_options():
         assigned = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                     for target in node.targets if isinstance(target, ast.Name)}
         assert "DEFAULT_STAGE_BOUND" not in assigned, path.name
-    parser = cli.build_parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
+    commands = cli.build_parser().commands
+    assert list(commands) == list(cli.COMMANDS)
     for name, sub in commands.items():
-        flags = set(sub._option_string_actions)
+        flags = set(re.findall(r"--[\w-]+", sub.format_help()))
         assert not flags & {"--stage-bound", "--enumerate"}, name
+
+
+# argparse's own names for what it keeps; they can change in any Python
+# release, and `cli` reads its subparsers from the parser's `commands` dict
+ARGPARSE_PRIVATE = {"_actions", "_option_string_actions", "_subparsers"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_argparse_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and (node.attr in ARGPARSE_PRIVATE or node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id == "argparse")]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "argparse"
+              and any(alias.name.startswith("_") for alias in node.names)]
+    assert not lines, f"{path.name}: private argparse name at line(s) {lines}"
 
 
 def test_no_indented_json_dumps():

@@ -250,6 +250,11 @@ def _cone(args):
     return {"basis": basis, **_cone_json(*bfan.kahler_cone(A, basis), {})}, None
 
 
+def _symplectic_count(args):
+    n_b0, n_bne0, n_b = sp.count_compatible(args.k1, args.k2, args.k3)
+    return {"N_B0": n_b0, "N_Bne0": n_bne0, "N_B": n_b}, None
+
+
 def _compat_enumerate(args):
     reps = sp.enumerate_compatible(args.k1, args.k2, args.k3)
     return {"count": len(reps), "representatives": [list(t) for t in reps]}, None
@@ -300,8 +305,7 @@ def _cproj(args):
         adm.cproj_transform(F, data, 0, args.beta)   # the degree (and beta) checked once
         rows = []
         for step in range(steps + 1):
-            r_now = (adm.cproj_parameters(data, Fraction(step, steps) * args.alpha, args.beta)
-                     if step else data.r_list())
+            r_now = adm.cproj_parameters(data, Fraction(step, steps) * args.alpha, args.beta)
             rows.append((step, float(r_now[0]),
                          float(r_now[1]) if len(r_now) > 1 else ""))
         return None, (("step", "r1", "r2"), rows)
@@ -370,8 +374,7 @@ COMMANDS = {
         _arg("--basis", help="string of u/v per stage, first must be u"),
         _arg("--scan-bases", action="store_true", help="report every generator basis"),
     ), _cone),
-    "symplectic-count": (None, _WEIGHT_ARGS, lambda args: (dict(zip(
-        ("N_B0", "N_Bne0", "N_B"), sp.count_compatible(args.k1, args.k2, args.k3))), None)),
+    "symplectic-count": (None, _WEIGHT_ARGS, _symplectic_count),
     "compat-enumerate": (None, _WEIGHT_ARGS, _compat_enumerate),
     "extremal-poly": (None, (
         _arg("--data", required=True,
